@@ -7,7 +7,7 @@
      figure    regenerate Figure 3(a)/3(b)
      overhead  regenerate the section 5.3 scheduling-overhead comparison
      perf      tracked solver benchmark against the recorded baseline
-     scale     large-n events/sec benchmark of the incremental schedulers
+     scale     large-n events/sec benchmark of the priority rule engine
      faults    resilience sweep: degradation under machine failures
      federate  sharded platforms behind an SRPT routing front-end *)
 
@@ -509,7 +509,7 @@ let scale_cmd =
       List.iter
         (fun (n, s) ->
           Printf.eprintf
-            "error: n=%d %s: flat/incremental diverged from the resort \
+            "error: n=%d %s: the rule engine diverged from the resort \
              oracle — this is a bug\n%!"
             n s)
         (E.Scale.failing_cells r);
@@ -522,9 +522,8 @@ let scale_cmd =
        ~doc:
          "Large-n scale experiment: events/sec of the flat zero-allocation \
           priority schedulers at n = 100..1000000, differentially checked \
-          against the incremental and legacy resort paths below \
-          --legacy-cap. Exits non-zero on any divergence, naming the \
-          failing cells.")
+          against the legacy resort oracle below --legacy-cap. Exits \
+          non-zero on any divergence, naming the failing cells.")
     Term.(
       ret
         (const action $ seed_t $ sizes_t $ legacy_cap_t $ schedulers_t $ json_t

@@ -27,8 +27,11 @@ let () =
   Printf.printf "Lemma 1: 3 machines of speeds 1+2+3 == 1 machine of speed %.0f\n"
     (Equivalence.equivalent_speed platform);
   Printf.printf "%-8s %18s %18s\n" "job" "C_j (3 machines)" "C_j (equivalent)";
-  let s3 = Sim.run Gripps_sched.List_sched.srpt inst in
-  let s1 = Sim.run Gripps_sched.List_sched.srpt uni in
+  let srpt inst =
+    (Sim.run_report_flat Gripps_sched.List_sched.flat_srpt inst).Sim.schedule
+  in
+  let s3 = srpt inst in
+  let s1 = srpt uni in
   List.iter
     (fun j ->
       Printf.printf "%-8d %18.4f %18.4f\n" j (Schedule.completion_exn s3 j)

@@ -36,15 +36,15 @@ let () =
 
   (* Simulate three schedulers and print their metrics. *)
   let show scheduler =
-    let schedule = Sim.run scheduler inst in
+    let schedule = (Sim.run_report_flat scheduler inst).Sim.schedule in
     assert (Schedule.validate schedule = []);
     let m = Metrics.of_schedule schedule in
-    Printf.printf "%-12s max-stretch = %.4f   sum-stretch = %.4f\n" scheduler.Sim.name
+    Printf.printf "%-12s max-stretch = %.4f   sum-stretch = %.4f\n" scheduler.Sim.fname
       m.Metrics.max_stretch m.Metrics.sum_stretch
   in
-  show Gripps_sched.List_sched.swrpt;
-  show Gripps_core.Online_lp.online;
-  show Gripps_core.Offline.scheduler;
+  show Gripps_sched.List_sched.flat_swrpt;
+  show (Gripps_sched.Legacy_adapter.flat Gripps_core.Online_lp.online);
+  show (Gripps_sched.Legacy_adapter.flat Gripps_core.Offline.scheduler);
 
   (* Inspect the realized optimal schedule segment by segment, then as a
      text Gantt chart. *)

@@ -21,7 +21,9 @@ let () =
   List.iter
     (fun k ->
       let inst = Adversary.starvation ~delta ~k in
-      let srpt = Metrics.of_schedule (Sim.run Gripps_sched.List_sched.srpt inst) in
+      let srpt =
+        (Sim.run_report_flat Gripps_sched.List_sched.flat_srpt inst).Sim.metrics
+      in
       let opt = Q.to_float (Offline.optimal_max_stretch inst) in
       Printf.printf "%6d %18.3f %18.3f %14.3f\n" k srpt.Metrics.max_stretch opt
         srpt.Metrics.sum_stretch)

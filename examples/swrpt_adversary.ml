@@ -13,7 +13,7 @@ open Gripps_engine
 module Adversary = Gripps_core.Adversary
 
 let sum_stretch scheduler inst =
-  (Metrics.of_schedule (Sim.run ~horizon:1e12 scheduler inst)).Metrics.sum_stretch
+  (Sim.run_report_flat ~horizon:1e12 scheduler inst).Sim.metrics.Metrics.sum_stretch
 
 let () =
   let epsilon = 0.6 in
@@ -27,8 +27,8 @@ let () =
   List.iter
     (fun l ->
       let inst = Adversary.swrpt_instance ~epsilon ~l in
-      let swrpt = sum_stretch Gripps_sched.List_sched.swrpt inst in
-      let srpt = sum_stretch Gripps_sched.List_sched.srpt inst in
+      let swrpt = sum_stretch Gripps_sched.List_sched.flat_swrpt inst in
+      let srpt = sum_stretch Gripps_sched.List_sched.flat_srpt inst in
       let analytic = Adversary.theorem2_lower_bound ~epsilon ~l in
       Printf.printf "%8d %8d %14.2f %14.2f %10.4f %12.4f\n" l (Instance.num_jobs inst)
         swrpt srpt (swrpt /. srpt) analytic)

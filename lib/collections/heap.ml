@@ -236,11 +236,9 @@ module Indexed = struct
     sift_down h h.pos.(id)
 
   (* Read-only slot views.  The array layout is a binary min-heap: slot 0
-     is the minimum and the children of slot [i] are [2i+1]/[2i+2], so a
-     caller can enumerate the k smallest members in order — without
-     modifying the heap — by keeping a small frontier of candidate slots
-     (start at 0; consuming a slot adds its children).  One-liners so
-     they inline: [slot_key] then reads an unboxed float. *)
+     is the minimum (what the rule engine's walk reads) and the children
+     of slot [i] are [2i+1]/[2i+2].  One-liners so they inline:
+     [slot_key] then reads an unboxed float. *)
   let slot_count h = h.size
   let slot_id h i = h.heap.(i)
   let slot_key h i = h.hkeys.(i)

@@ -32,8 +32,8 @@ val to_sorted_list : 'a t -> 'a list
     members' [(key, id)] pairs, which is what lets a heap-backed priority
     scheduler reproduce a sort-based one bit for bit.
 
-    Backing for the incremental priority schedulers: one heap per
-    databank keyed by the priority rule, ids = job ids. *)
+    Backing for [List_sched]'s rule engine: one heap per databank keyed
+    by the priority rule, ids = job ids (batch) or slot ids (daemon). *)
 module Indexed : sig
   type t
 
@@ -96,11 +96,8 @@ module Indexed : sig
 
   val slot_id : t -> int -> int
   (** Member id stored in a heap slot.  Slot 0 is the minimum and the
-      children of slot [i] are [2i+1] and [2i+2], so the k smallest
-      members can be enumerated in [(key, id)] order — without mutating
-      the heap — from a frontier of candidate slots (start with slot 0;
-      consuming a slot adds its children).  Unchecked: the slot must be
-      [< slot_count]. *)
+      children of slot [i] are [2i+1] and [2i+2].  Unchecked: the slot
+      must be [< slot_count]. *)
 
   val slot_key : t -> int -> float
   (** Key stored in a heap slot.  Inlines to an unboxed float read.

@@ -48,7 +48,6 @@ type state = {
   released : bool array;
   seen : int array;          (* duplicate-entry stamps (validation) *)
   mutable stamp : int;
-  mutable version : int;     (* bumps at every scheduler invocation *)
   (* the pending event batch, as int columns *)
   mutable ev_kinds : int array;
   mutable ev_subj : int array;
@@ -84,20 +83,10 @@ let active_jobs st =
 let completion_time st j =
   if is_completed st j then Some st.kern.Kernel.ctimes.(j) else None
 
-module Columns = struct
-  let remaining st = st.kern.Kernel.remaining
-  let completion_times st = st.kern.Kernel.ctimes
-end
-
-(* The dirty set handed to incremental schedulers: during a callback, the
-   kernel's [rated] still holds the support of the plan segment that just
-   ended — a superset of the jobs whose remaining work changed since the
-   previous callback (it is only reset when the next plan is validated). *)
-let plan_version st = st.version
-let iter_dirty f st = Vec.iter f st.kern.Kernel.rated
-let dirty_jobs st = Vec.to_list st.kern.Kernel.rated
-let dirty_count st = Vec.length st.kern.Kernel.rated
-let dirty_job st i = Vec.get st.kern.Kernel.rated i
+(* During a callback the kernel's [rated] still holds the support of the
+   plan segment that just ended: it is only reloaded when the returned
+   plan is validated. *)
+let kernel st = st.kern
 
 module Events = struct
   let count st = st.ev_len
@@ -144,13 +133,6 @@ type scheduler = {
 }
 
 let stateless name f = { name; make = (fun _inst -> f) }
-
-let incremental ~name ~init ~on_event =
-  { name;
-    make =
-      (fun inst ->
-        let s = init inst in
-        fun st evs -> on_event s st evs) }
 
 type flat_scheduler = {
   fname : string;
@@ -336,7 +318,6 @@ let run_core ?horizon ?(faults = []) ?(loss = Fault.Crash) ~record ~name
       released = Array.make nj false;
       seen = Array.make nj 0;
       stamp = 0;
-      version = 0;
       ev_kinds = Array.make 16 0;
       ev_subj = Array.make 16 0;
       ev_len = 0;
@@ -408,7 +389,6 @@ let run_core ?horizon ?(faults = []) ?(loss = Fault.Crash) ~record ~name
     incr replan_count;
     Obs.Counter.incr c_replans;
     if J.on () then journal_events ();
-    st.version <- st.version + 1;
     Plan_buf.clear ~grab_order:true k.Kernel.plan;
     f st k.Kernel.plan;
     if J.on () then

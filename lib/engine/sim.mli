@@ -58,7 +58,7 @@ type event =
     accessors then transparently reverse, reproducing the legacy list —
     float summation order included — bit for bit. *)
 module Plan_buf : sig
-  type t
+  type t = Kernel.Plan_buf.t
 
   val create : unit -> t
 
@@ -133,49 +133,14 @@ val active_jobs : state -> int list
 
 val completion_time : state -> int -> float option
 
-(** Raw columnar views for flat schedulers: direct (read-only by
-    convention) access to the engine's per-job columns, so a hot
-    scheduler can read remaining work without the bounds check and
-    box-free only thanks to cross-module inlining of {!remaining}. *)
-module Columns : sig
-  val remaining : state -> float array
-  (** [remaining.(j)]: remaining Mflop.  Meaningful only for released
-      jobs. *)
-
-  val completion_times : state -> float array
-  (** [ctimes.(j)]: completion date, or NaN while pending. *)
-end
-
-(** {1 Incremental scheduling support}
-
-    The engine maintains a versioned dirty set so an incremental
-    scheduler can update per-run structures (priority heaps, cached
-    plans) in O(changes · log n) instead of rescanning every job. *)
-
-val plan_version : state -> int
-(** Monotone counter bumped at every scheduler invocation; two callbacks
-    observing different versions are separated by at least one executed
-    plan segment. *)
-
-val dirty_jobs : state -> int list
-(** During a scheduler callback: the support of the plan segment that
-    just ended — every job that was allocated a positive rate since the
-    previous callback.  This is a superset of the jobs whose remaining
-    work changed (a zero-length segment leaves work untouched); jobs
-    completed by the segment appear both here and as {!Completion}
-    events.  Empty at the initial invocation.  Reset when the returned
-    plan is validated, so it is only meaningful inside the callback. *)
-
-val iter_dirty : (int -> unit) -> state -> unit
-(** Allocation-free iteration over {!dirty_jobs} (unspecified order). *)
-
-val dirty_count : state -> int
-(** [List.length (dirty_jobs st)], allocation-free. *)
-
-val dirty_job : state -> int -> int
-(** [dirty_job st i]: the [i]-th dirty job, [0 <= i < dirty_count st].
-    With {!dirty_count}, an indexed (closure-free) alternative to
-    {!iter_dirty}. *)
+val kernel : state -> Kernel.t
+(** The fluid kernel the run drives, indexed by job id — read-only by
+    convention, for flat schedulers that key on its columns.  During a
+    scheduler callback [Kernel.rated] is the support of the plan segment
+    that just ended (empty at the initial invocation): a superset of the
+    jobs whose remaining work changed since the previous callback, so a
+    scheduler re-keys only those.  It is reloaded when the returned plan
+    is validated. *)
 
 (** Indexed, allocation-free view of the event batch a {!flat_scheduler}
     is being invoked for (the flat counterpart of the [event list]
@@ -213,18 +178,6 @@ type scheduler = {
 
 val stateless : string -> (state -> event list -> plan) -> scheduler
 
-val incremental :
-  name:string ->
-  init:(Instance.t -> 's) ->
-  on_event:('s -> state -> event list -> plan) ->
-  scheduler
-(** An incremental scheduler: [init] builds the per-run state once (a
-    fresh ['s] per simulation, so one scheduler value can be reused
-    across runs and domains), and [on_event] folds each event batch into
-    it — typically consulting {!dirty_jobs} to re-key only what moved.
-    Layered on the {!scheduler} record, so every entry point accepts
-    both styles unchanged. *)
-
 (** A flat scheduler: the zero-allocation counterpart of {!scheduler}.
     The callback reads the pending events through {!Events}, updates its
     per-run state, and {e writes} the new plan into the provided
@@ -242,6 +195,10 @@ val flat_incremental :
   init:(Instance.t -> 's) ->
   on_event:('s -> state -> Plan_buf.t -> unit) ->
   flat_scheduler
+(** A stateful flat scheduler: [init] builds the per-run state once (a
+    fresh ['s] per simulation, so one scheduler value can be reused
+    across runs and domains), and [on_event] folds each event batch into
+    it and writes the plan. *)
 
 val of_legacy : scheduler -> flat_scheduler
 (** A legacy list scheduler as a {!flat_scheduler}: the callback's event
@@ -295,8 +252,11 @@ val nonclairvoyant_incremental :
   init:(Platform.t -> 's) ->
   on_event:('s -> Blind.view -> event list -> plan) ->
   scheduler
-(** Like {!incremental}, but [init] sees only the platform (the instance
-    would leak sizes and the job count) and [on_event] the blind view. *)
+(** A stateful size-blind scheduler: [init] builds the per-run state once
+    and [on_event] folds each event batch into it, as in
+    {!flat_incremental} — but [init] sees only the platform (the
+    instance would leak sizes and the job count) and [on_event] the
+    blind view. *)
 
 exception Stalled of { time : float; pending : int list }
 (** Raised when the scheduler leaves pending work unallocated with no

@@ -9,11 +9,10 @@
    benchmarking posture (no schedule recording) — the headline events/s —
    and reads the engine's [sim.minor_words] counter around the run to
    report allocations per event.  Below [legacy_cap] it also runs the
-   flat path with recording on, the incremental heap path and the legacy
-   resort-from-scratch oracle on the same instance, and checks all four
-   runs are identical — metrics, segment list and completion vector
-   compared structurally, i.e. float by float.  The [identical] bit of
-   the report gates CI. *)
+   flat path with recording on and the legacy resort-from-scratch oracle
+   on the same instance, and checks all three runs are identical —
+   metrics, segment list and completion vector compared structurally,
+   i.e. float by float.  The [identical] bit of the report gates CI. *)
 
 open Gripps_model
 open Gripps_engine
@@ -23,21 +22,15 @@ module W = Gripps_workload
 type spec = {
   s_name : string;
   rule : Priority.rule;
-  static : bool;
   flat : List_sched.flat_rule;
 }
 
 let panel =
-  [ { s_name = "FCFS"; rule = Priority.fcfs; static = true;
-      flat = List_sched.Rule_fcfs };
-    { s_name = "SPT"; rule = Priority.spt; static = true;
-      flat = List_sched.Rule_spt };
-    { s_name = "SRPT"; rule = Priority.srpt; static = false;
-      flat = List_sched.Rule_srpt };
-    { s_name = "SWPT"; rule = Priority.swpt; static = true;
-      flat = List_sched.Rule_swpt };
-    { s_name = "SWRPT"; rule = Priority.swrpt; static = false;
-      flat = List_sched.Rule_swrpt } ]
+  [ { s_name = "FCFS"; rule = Priority.fcfs; flat = List_sched.Rule_fcfs };
+    { s_name = "SPT"; rule = Priority.spt; flat = List_sched.Rule_spt };
+    { s_name = "SRPT"; rule = Priority.srpt; flat = List_sched.Rule_srpt };
+    { s_name = "SWPT"; rule = Priority.swpt; flat = List_sched.Rule_swpt };
+    { s_name = "SWRPT"; rule = Priority.swrpt; flat = List_sched.Rule_swrpt } ]
 
 let panel_names = List.map (fun s -> s.s_name) panel
 let default_sizes = [ 100; 1_000; 10_000; 100_000; 1_000_000 ]
@@ -47,7 +40,7 @@ type legacy_run = {
   l_wall_s : float;
   l_events_per_s : float;
   l_speedup : float;    (* legacy wall / flat wall *)
-  l_identical : bool;   (* flat (both modes) = incremental = resort *)
+  l_identical : bool;   (* flat (both modes) = resort *)
 }
 
 type entry = {
@@ -138,11 +131,6 @@ let measure_cell ~seed ~legacy_cap ~repeats n spec =
       let frec =
         Sim.run_report_flat ~horizon:1e12 ~record:true flat inst
       in
-      let incr =
-        List_sched.scheduler ~static:spec.static ~name:spec.s_name
-          ~rule:spec.rule ()
-      in
-      let irep = Sim.run_report ~horizon:1e12 incr inst in
       let oracle = Legacy_adapter.resort_scheduler ~name:spec.s_name ~rule:spec.rule in
       let l_wall_s, l_rep = time (fun () -> Sim.run_report ~horizon:1e12 oracle inst) in
       Some
@@ -152,7 +140,7 @@ let measure_cell ~seed ~legacy_cap ~repeats n spec =
              else infinity);
           l_speedup = (if wall_s > 0.0 then l_wall_s /. wall_s else infinity);
           l_identical =
-            same_report frec irep && same_report irep l_rep
+            same_report frec l_rep
             && frec.Sim.metrics = rep.Sim.metrics
             && frec.Sim.schedule.Schedule.completion
                = rep.Sim.schedule.Schedule.completion }

@@ -8,17 +8,17 @@
     its benchmarking posture (no schedule recording) — the headline
     events/s — and reports minor-heap words allocated per event from the
     engine's [sim.minor_words] counter.  Up to [legacy_cap] it also runs
-    the flat path with recording on, the incremental heap path, and the
-    legacy resort-from-scratch oracle on the same instance, recording a
-    speedup and an identity bit (metrics, segment list and completion
-    vector compared structurally across all four runs).  The report's
+    the flat path with recording on and the legacy resort-from-scratch
+    oracle on the same instance, recording a speedup and an identity bit
+    (metrics, segment list and completion vector compared structurally
+    across all three runs).  The report's
     [identical] conjunction is the differential gate CI enforces. *)
 
 type legacy_run = {
   l_wall_s : float;
   l_events_per_s : float;
   l_speedup : float;    (** legacy wall / flat wall *)
-  l_identical : bool;   (** flat (both modes) = incremental = resort *)
+  l_identical : bool;   (** flat (both modes) = resort *)
 }
 
 type entry = {

@@ -16,6 +16,6 @@ val flat : Sim.scheduler -> Sim.flat_scheduler
 val resort_scheduler : name:string -> rule:Priority.rule -> Sim.scheduler
 (** The original recompute-from-scratch list scheduler: rebuild and
     re-sort the whole active-job list at every event (O(n log n) per
-    event).  Kept solely as the differential-test oracle for the
-    heap-backed {!List_sched.scheduler}/{!List_sched.flat_scheduler},
-    which reproduce its grab sequence bit for bit. *)
+    event) and hand the order to {!List_sched.allocate}.  Kept solely as
+    the differential-test oracle for {!List_sched}'s rule engine, which
+    reproduces its grab sequence bit for bit. *)

@@ -2,6 +2,7 @@ open Gripps_model
 open Gripps_engine
 module Heap = Gripps_collections.Heap
 module Vec = Gripps_collections.Vec
+module Pb = Kernel.Plan_buf
 
 let allocate st ~priority_order =
   let inst = Sim.instance st in
@@ -24,340 +25,183 @@ let allocate st ~priority_order =
     priority_order;
   !alloc
 
-(* ------------------------------------------------------------------ *)
-(* Incremental path: one indexed min-heap per databank, keyed by the
-   priority rule with job-id tiebreak.  An arrival/completion costs
-   O(log n); re-keying after a segment costs O(log n) per job the plan
-   touched (and nothing at all for static rules).                      *)
-(* ------------------------------------------------------------------ *)
-
-type incr = {
-  rule : Priority.rule;
-  static : bool;  (* keys never change once released (FCFS/SPT/SWPT) *)
-  heaps : Heap.Indexed.t array;      (* one heap per databank *)
-  db_of_job : int array;
-  hosts : int array array;           (* machines per databank, hosts_of order *)
-  dbs_of_machine : int list array;
-  (* per-event scratch *)
-  free : bool array;                 (* machine not yet grabbed this event *)
-  free_up : int array;               (* per databank: # free ∧ up hosts *)
-}
-
-let make_incr ~rule ~static inst =
-  let platform = Instance.platform inst in
-  let nj = Instance.num_jobs inst in
-  let nm = Platform.num_machines platform in
-  let nd = Platform.num_databanks platform in
-  let hosts =
-    Array.init nd (fun d ->
-        Platform.hosts_of platform d
-        |> List.map (fun (m : Machine.t) -> m.id)
-        |> Array.of_list)
-  in
-  let dbs_of_machine =
-    Array.init nm (fun mid ->
-        let m = Platform.machine platform mid in
-        List.filter (fun d -> Machine.hosts m d) (List.init nd Fun.id))
-  in
-  { rule; static;
-    heaps = Array.init nd (fun _ -> Heap.Indexed.create ~capacity:nj);
-    db_of_job = Array.init nj (fun j -> (Instance.job inst j).Job.databank);
-    hosts; dbs_of_machine;
-    free = Array.make nm true;
-    free_up = Array.make nd 0 }
-
-(* One list-scheduling pass driven by the heaps instead of a global sort.
-
-   Equivalence to [allocate] over the fully sorted active-job list: the
-   sorted walk only changes machine state at jobs whose databank still
-   has a free up host, and such a job takes {e all} of them — so its
-   databank immediately stops qualifying, and the next state-changing
-   job is exactly the minimum (key, id) among the tops of the databanks
-   that still qualify.  Grabs are emitted in the same (job-major,
-   hosts_of-minor) prepend order, so the resulting allocation list —
-   and hence every downstream segment, journal entry and metric — is
-   identical, not just equivalent. *)
-let heap_allocate s st =
-  let nd = Array.length s.heaps in
-  Array.fill s.free 0 (Array.length s.free) true;
-  for d = 0 to nd - 1 do
-    let n = ref 0 in
-    Array.iter (fun m -> if Sim.machine_up st m then incr n) s.hosts.(d);
-    s.free_up.(d) <- !n
-  done;
-  let alloc = ref [] in
-  let popped = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
-    let best_d = ref (-1) and best_j = ref max_int and best_k = ref nan in
-    for d = 0 to nd - 1 do
-      if s.free_up.(d) > 0 then
-        match Heap.Indexed.min_elt s.heaps.(d) with
-        | None -> ()
-        | Some j ->
-          let k = Heap.Indexed.key s.heaps.(d) j in
-          if !best_d < 0 || k < !best_k || (k = !best_k && j < !best_j) then begin
-            best_d := d;
-            best_j := j;
-            best_k := k
-          end
-    done;
-    if !best_d < 0 then continue_ := false
-    else begin
-      let d = !best_d and j = !best_j and k = !best_k in
-      ignore (Heap.Indexed.pop_exn s.heaps.(d));
-      popped := (d, j, k) :: !popped;
-      Array.iter
-        (fun m ->
-          if s.free.(m) && Sim.machine_up st m then begin
-            s.free.(m) <- false;
-            alloc := (m, [ (j, 1.0) ]) :: !alloc;
-            List.iter
-              (fun d' -> s.free_up.(d') <- s.free_up.(d') - 1)
-              s.dbs_of_machine.(m)
-          end)
-        s.hosts.(d)
-    end
-  done;
-  (* The popped jobs are still active: restore them with their keys
-     untouched. *)
-  List.iter (fun (d, j, k) -> Heap.Indexed.add s.heaps.(d) j k) !popped;
-  !alloc
-
-let on_event s st events =
-  List.iter
-    (fun e ->
-      match e with
-      | Sim.Arrival j ->
-        Heap.Indexed.add s.heaps.(s.db_of_job.(j)) j (s.rule st j)
-      | Sim.Completion j -> Heap.Indexed.remove s.heaps.(s.db_of_job.(j)) j
-      | Sim.Boundary | Sim.Failure _ | Sim.Recovery _ -> ())
-    events;
-  (* Re-key what the last segment touched.  The fresh key is computed by
-     the very expression the resort oracle sorts on, so stored keys stay
-     bit-identical to recomputed ones. *)
-  if not s.static then
-    Sim.iter_dirty
-      (fun j ->
-        let h = s.heaps.(s.db_of_job.(j)) in
-        if Heap.Indexed.mem h j then Heap.Indexed.update h j (s.rule st j))
-      st;
-  { Sim.allocation = heap_allocate s st; horizon = None }
-
-let scheduler ?(static = false) ~name ~rule () =
-  Sim.incremental ~name ~init:(make_incr ~rule ~static) ~on_event
-
-let fcfs = scheduler ~static:true ~name:"FCFS" ~rule:Priority.fcfs ()
-let spt = scheduler ~static:true ~name:"SPT" ~rule:Priority.spt ()
-let srpt = scheduler ~name:"SRPT" ~rule:Priority.srpt ()
-let swpt = scheduler ~static:true ~name:"SWPT" ~rule:Priority.swpt ()
-let swrpt = scheduler ~name:"SWRPT" ~rule:Priority.swrpt ()
-
-(* ------------------------------------------------------------------ *)
-(* Flat path: the same heap walk, but writing grab-order runs into the
-   engine's reusable plan buffer and keying the heaps through the
-   allocation-free put_key/add_keyed protocol.  Steady-state event
-   handling allocates nothing on the minor heap.                       *)
-(* ------------------------------------------------------------------ *)
-
 type flat_rule = Rule_fcfs | Rule_spt | Rule_srpt | Rule_swpt | Rule_swrpt
 
-let flat_rule_static = function
-  | Rule_fcfs | Rule_spt | Rule_swpt -> true
-  | Rule_srpt | Rule_swrpt -> false
-
-let flat_rule_name = function
+let rule_name = function
   | Rule_fcfs -> "FCFS"
   | Rule_spt -> "SPT"
   | Rule_srpt -> "SRPT"
   | Rule_swpt -> "SWPT"
   | Rule_swrpt -> "SWRPT"
 
-type flat = {
-  kind : flat_rule;
-  fstatic : bool;
-  fheaps : Heap.Indexed.t array;
-  fdb_of_job : int array;
-  fhosts : int array array;
-  fdbs_of_machine : int array array;  (* int arrays: closure-free loops *)
-  ffree : bool array;
-  ffree_up : int array;
-  rel : float array;                  (* release date per job *)
-  jsize : float array;                (* size per job *)
-  (* walk scratch, persisted across events.  [fcand]/[fcand_len] hold
-     each databank's frontier of candidate heap slots while a walk
-     enumerates successive minima without mutating the heap (consuming a
-     slot adds its two children, and at most one slot is consumed per
-     machine grab, so [2 nm + 3] slots bound the frontier). *)
-  fcand : int array array;
-  fcand_len : int array;
-  mutable bd : int;                   (* best databank, -1 = none *)
-  mutable bj : int;                   (* best job *)
-  mutable bs : int;                   (* best heap slot *)
-  mutable bc : int;                   (* best index into fcand.(bd) *)
-  bk : float array;                   (* bk.(0): best key (float cell — a
+(* ------------------------------------------------------------------ *)
+(* The rule engine: one indexed min-heap per databank, keyed by the
+   rule with id tiebreak, and the root-only allocation walk.  Ids are
+   whatever the driver indexes its kernel columns by — job ids in Sim,
+   slot ids in the daemon.                                              *)
+(* ------------------------------------------------------------------ *)
+
+type engine = {
+  rule : flat_rule;
+  release : float array;              (* driver-owned, id-indexed *)
+  db : int array;                     (* driver-owned, id-indexed *)
+  heaps : Heap.Indexed.t array;       (* one heap per databank *)
+  hosts : int array array;            (* machines per databank, hosts_of order *)
+  dbs_of_machine : int array array;   (* int arrays: closure-free loops *)
+  (* walk scratch, persisted across plans *)
+  mfree : bool array;                 (* machine not yet grabbed *)
+  free_up : int array;                (* per databank: # free ∧ up hosts *)
+  mutable best_d : int;               (* best databank, -1 = none *)
+  mutable best_j : int;               (* its root *)
+  best_k : float array;               (* best_k.(0): the root's key (a
                                          mutable float field would box on
                                          every store) *)
 }
 
-let make_flat ~kind inst =
-  let platform = Instance.platform inst in
-  let nj = Instance.num_jobs inst in
+let engine ~rule ~platform ~capacity ~release ~db =
   let nm = Platform.num_machines platform in
   let nd = Platform.num_databanks platform in
-  { kind;
-    fstatic = flat_rule_static kind;
-    fheaps = Array.init nd (fun _ -> Heap.Indexed.create ~capacity:nj);
-    fdb_of_job = Array.init nj (fun j -> (Instance.job inst j).Job.databank);
-    fhosts =
+  { rule; release; db;
+    heaps = Array.init nd (fun _ -> Heap.Indexed.create ~capacity);
+    hosts =
       Array.init nd (fun d ->
           Platform.hosts_of platform d
           |> List.map (fun (m : Machine.t) -> m.id)
           |> Array.of_list);
-    fdbs_of_machine =
+    dbs_of_machine =
       Array.init nm (fun mid ->
           let m = Platform.machine platform mid in
           List.filter (fun d -> Machine.hosts m d) (List.init nd Fun.id)
           |> Array.of_list);
-    ffree = Array.make nm true;
-    ffree_up = Array.make nd 0;
-    rel = Array.init nj (fun j -> (Instance.job inst j).Job.release);
-    jsize = Array.init nj (fun j -> (Instance.job inst j).Job.size);
-    fcand = Array.init nd (fun _ -> Array.make ((2 * nm) + 3) 0);
-    fcand_len = Array.make nd 0;
-    bd = -1;
-    bj = max_int;
-    bs = 0;
-    bc = 0;
-    bk = Array.make 1 nan }
+    mfree = Array.make nm true;
+    free_up = Array.make nd 0;
+    best_d = -1;
+    best_j = 0;
+    best_k = Array.make 1 nan }
 
-(* Stage job [j]'s priority key into its heap.  Each rule computes the
-   exact expression the legacy [Priority] closures evaluate — same
-   operands, same order — so stored keys stay bit-identical to the
-   oracle's.  [Heap.Indexed.put_key] is a one-line array store the
-   compiler inlines, so the float never crosses a call boundary. *)
-let stage_key s st h j =
-  match s.kind with
-  | Rule_fcfs -> Heap.Indexed.put_key h j s.rel.(j)
-  | Rule_spt -> Heap.Indexed.put_key h j s.jsize.(j)
-  | Rule_srpt -> Heap.Indexed.put_key h j (Sim.Columns.remaining st).(j)
-  | Rule_swpt -> Heap.Indexed.put_key h j (s.jsize.(j) *. s.jsize.(j))
+let replicas e d = Array.length e.hosts.(d)
+
+(* Stage id [j]'s key into its heap.  Each rule computes the exact
+   expression the [Priority] closures evaluate — same operands, same
+   order — so stored keys stay bit-identical to the oracle's.
+   [Heap.Indexed.put_key] is a one-line array store the compiler
+   inlines, so the float never crosses a call boundary. *)
+let stage_key e (k : Kernel.t) h j =
+  match e.rule with
+  | Rule_fcfs -> Heap.Indexed.put_key h j e.release.(j)
+  | Rule_spt -> Heap.Indexed.put_key h j k.Kernel.size.(j)
+  | Rule_srpt -> Heap.Indexed.put_key h j k.Kernel.remaining.(j)
+  | Rule_swpt -> Heap.Indexed.put_key h j (k.Kernel.size.(j) *. k.Kernel.size.(j))
   | Rule_swrpt ->
-    Heap.Indexed.put_key h j ((Sim.Columns.remaining st).(j) *. s.jsize.(j))
+    Heap.Indexed.put_key h j (k.Kernel.remaining.(j) *. k.Kernel.size.(j))
 
-let rec count_up st (hosts : int array) i acc =
-  if i >= Array.length hosts then acc
-  else
-    count_up st hosts (i + 1)
-      (if Sim.machine_up st hosts.(i) then acc + 1 else acc)
+let add e k j =
+  let h = e.heaps.(e.db.(j)) in
+  stage_key e k h j;
+  Heap.Indexed.add_keyed h j
 
-(* The walk loop, top level so no closure is built per event: find the
-   minimum (key, id) among the qualifying databanks' pending jobs, let it
-   grab every free up host of its databank, repeat.
+let remove e j = Heap.Indexed.remove e.heaps.(e.db.(j)) j
 
-   Successive minima are read through each databank's candidate-slot
-   frontier ([fcand]) instead of popping the heap: a pop is a full-depth
-   sift plus a matching full-depth restore once the walk is over — the
-   dominant cost of a replan on a deep queue — while the frontier only
-   reads [slot_key]/[slot_id].  The frontier of a db starts at slot 0
-   (its minimum); consuming a slot adds its two children, whose keys are
-   [>=] by the heap property, so the minimum over all live candidates is
-   exactly the next pending job in [(key, id)] order — the same job the
-   popping walk would select. *)
-let rec walk s st buf =
-  s.bd <- -1;
-  s.bj <- max_int;
-  for d = 0 to Array.length s.fheaps - 1 do
-    if s.ffree_up.(d) > 0 then begin
-      let h = s.fheaps.(d) in
-      let cand = s.fcand.(d) in
-      for c = 0 to s.fcand_len.(d) - 1 do
-        let i = cand.(c) in
-        let j = Heap.Indexed.slot_id h i in
-        let k = Heap.Indexed.slot_key h i in
-        if s.bd < 0 || k < s.bk.(0) || (k = s.bk.(0) && j < s.bj) then begin
-          s.bd <- d;
-          s.bj <- j;
-          s.bs <- i;
-          s.bc <- c;
-          s.bk.(0) <- k
-        end
-      done
+(* Only the old plan's support can have moved: an unallocated id's
+   remaining work is constant.  Completed or recycled ids are skipped by
+   the membership test. *)
+let rekey e (k : Kernel.t) =
+  match e.rule with
+  | Rule_fcfs | Rule_spt | Rule_swpt -> ()  (* keys never change *)
+  | Rule_srpt | Rule_swrpt ->
+    for i = 0 to Vec.length k.Kernel.rated - 1 do
+      let j = Vec.get k.Kernel.rated i in
+      let h = e.heaps.(e.db.(j)) in
+      if Heap.Indexed.mem h j then begin
+        stage_key e k h j;
+        Heap.Indexed.update_keyed h j
+      end
+    done
+
+(* The walk, top level so no closure is built per plan: find the minimum
+   (key, id) among the roots of the databanks that still have a free up
+   host, let it grab every one of them, repeat.
+
+   Why roots suffice.  The list-scheduling rule (paper §3.2) walks every
+   active job in priority order, and a job changes machine state only
+   if its databank still has a free up host — in which case it takes
+   {e all} of them, driving that databank's [free_up] to zero.  So a
+   databank wins at most once per plan, and the next state-changing job
+   is always the smallest (key, id) among the roots of the databanks
+   still qualifying.  Grabs are pushed in the sorted walk's (job-major,
+   hosts_of-minor) order into a grab-order buffer, so the canonical plan
+   is the oracle's prepended allocation list, bit for bit.  The heaps
+   are only read, never popped. *)
+let rec walk e (k : Kernel.t) buf =
+  e.best_d <- -1;
+  for d = 0 to Array.length e.heaps - 1 do
+    let h = e.heaps.(d) in
+    if e.free_up.(d) > 0 && Heap.Indexed.slot_count h > 0 then begin
+      let j = Heap.Indexed.slot_id h 0 in
+      let key = Heap.Indexed.slot_key h 0 in
+      if
+        e.best_d < 0 || key < e.best_k.(0)
+        || (key = e.best_k.(0) && j < e.best_j)
+      then begin
+        e.best_d <- d;
+        e.best_j <- j;
+        e.best_k.(0) <- key
+      end
     end
   done;
-  if s.bd >= 0 then begin
-    let d = s.bd and j = s.bj in
-    (* Consume the winning slot: replace it by the last candidate and
-       append its children. *)
-    let h = s.fheaps.(d) in
-    let cand = s.fcand.(d) in
-    let len = s.fcand_len.(d) - 1 in
-    cand.(s.bc) <- cand.(len);
-    let l = (2 * s.bs) + 1 in
-    let r = l + 1 in
-    let n = Heap.Indexed.slot_count h in
-    let len = if l < n then (cand.(len) <- l; len + 1) else len in
-    let len = if r < n then (cand.(len) <- r; len + 1) else len in
-    s.fcand_len.(d) <- len;
-    let hosts = s.fhosts.(d) in
+  if e.best_d >= 0 then begin
+    let j = e.best_j in
+    let hosts = e.hosts.(e.best_d) in
     for i = 0 to Array.length hosts - 1 do
       let m = hosts.(i) in
-      if s.ffree.(m) && Sim.machine_up st m then begin
-        s.ffree.(m) <- false;
-        Sim.Plan_buf.begin_machine buf m;
-        Sim.Plan_buf.push_unit_share buf ~job:j;
-        let dbs = s.fdbs_of_machine.(m) in
+      if e.mfree.(m) && k.Kernel.up.(m) then begin
+        e.mfree.(m) <- false;
+        Pb.begin_machine buf m;
+        Pb.push_unit_share buf ~job:j;
+        let dbs = e.dbs_of_machine.(m) in
         for q = 0 to Array.length dbs - 1 do
-          s.ffree_up.(dbs.(q)) <- s.ffree_up.(dbs.(q)) - 1
+          e.free_up.(dbs.(q)) <- e.free_up.(dbs.(q)) - 1
         done
       end
     done;
-    walk s st buf
+    walk e k buf
   end
 
-
-let heap_allocate_flat s st buf =
-  Array.fill s.ffree 0 (Array.length s.ffree) true;
-  for d = 0 to Array.length s.fheaps - 1 do
-    s.ffree_up.(d) <- count_up st s.fhosts.(d) 0 0
+let plan e (k : Kernel.t) buf =
+  Array.fill e.mfree 0 (Array.length e.mfree) true;
+  for d = 0 to Array.length e.hosts - 1 do
+    let hosts = e.hosts.(d) in
+    e.free_up.(d) <- 0;
+    for i = 0 to Array.length hosts - 1 do
+      if k.Kernel.up.(hosts.(i)) then e.free_up.(d) <- e.free_up.(d) + 1
+    done
   done;
-  for d = 0 to Array.length s.fheaps - 1 do
-    s.fcand_len.(d) <-
-      (if Heap.Indexed.is_empty s.fheaps.(d) then 0
-       else begin
-         s.fcand.(d).(0) <- 0;
-         1
-       end)
-  done;
-  walk s st buf
+  Pb.clear ~grab_order:true buf;
+  walk e k buf
 
-let flat_on_event s st buf =
+(* ------------------------------------------------------------------ *)
+(* The batch driver: job ids, fed by the engine's event batch.         *)
+(* ------------------------------------------------------------------ *)
+
+let sim_engine rule inst =
+  let n = Instance.num_jobs inst in
+  engine ~rule ~platform:(Instance.platform inst) ~capacity:n
+    ~release:(Array.init n (fun j -> (Instance.job inst j).Job.release))
+    ~db:(Array.init n (fun j -> (Instance.job inst j).Job.databank))
+
+let on_event e st buf =
+  let k = Sim.kernel st in
   for i = 0 to Sim.Events.count st - 1 do
     match Sim.Events.kind st i with
-    | `Arrival ->
-      let j = Sim.Events.subject st i in
-      let h = s.fheaps.(s.fdb_of_job.(j)) in
-      stage_key s st h j;
-      Heap.Indexed.add_keyed h j
-    | `Completion ->
-      let j = Sim.Events.subject st i in
-      Heap.Indexed.remove s.fheaps.(s.fdb_of_job.(j)) j
+    | `Arrival -> add e k (Sim.Events.subject st i)
+    | `Completion -> remove e (Sim.Events.subject st i)
     | `Boundary | `Failure | `Recovery -> ()
   done;
-  if not s.fstatic then
-    for i = 0 to Sim.dirty_count st - 1 do
-      let j = Sim.dirty_job st i in
-      let h = s.fheaps.(s.fdb_of_job.(j)) in
-      if Heap.Indexed.mem h j then begin
-        stage_key s st h j;
-        Heap.Indexed.update_keyed h j
-      end
-    done;
-  heap_allocate_flat s st buf
+  rekey e k;
+  plan e k buf
 
-let flat_scheduler kind =
-  Sim.flat_incremental ~name:(flat_rule_name kind) ~init:(make_flat ~kind)
-    ~on_event:flat_on_event
+let flat_scheduler rule =
+  Sim.flat_incremental ~name:(rule_name rule) ~init:(sim_engine rule) ~on_event
 
 let flat_fcfs = flat_scheduler Rule_fcfs
 let flat_spt = flat_scheduler Rule_spt

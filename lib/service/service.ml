@@ -7,18 +7,20 @@ module Obs = Gripps_obs.Obs
 module J = Obs.Journal
 module Fsio = Gripps_obs.Fsio
 module Vec = Gripps_collections.Vec
-module Heap = Gripps_collections.Heap
+module List_sched = Gripps_sched.List_sched
 
 (* ---- configuration ----------------------------------------------------- *)
 
 type rule = Fcfs | Spt | Srpt | Swpt | Swrpt
 
-let rule_name = function
-  | Fcfs -> "FCFS"
-  | Spt -> "SPT"
-  | Srpt -> "SRPT"
-  | Swpt -> "SWPT"
-  | Swrpt -> "SWRPT"
+let flat_rule = function
+  | Fcfs -> List_sched.Rule_fcfs
+  | Spt -> List_sched.Rule_spt
+  | Srpt -> List_sched.Rule_srpt
+  | Swpt -> List_sched.Rule_swpt
+  | Swrpt -> List_sched.Rule_swrpt
+
+let rule_name r = List_sched.rule_name (flat_rule r)
 
 let rule_of_string s =
   match String.uppercase_ascii s with
@@ -28,9 +30,6 @@ let rule_of_string s =
   | "SWPT" -> Some Swpt
   | "SWRPT" -> Some Swrpt
   | _ -> None
-
-(* Static rules never re-key a released job (mirrors List_sched). *)
-let rule_static = function Fcfs | Spt | Swpt -> true | Srpt | Swrpt -> false
 
 type policy = Drop | Block | Shed
 
@@ -179,16 +178,16 @@ let m_makespan = 4
    advance arithmetic shared with [Sim], which is what makes the daemon
    bit-exact against batch simulation of the same stream.  The daemon
    itself owns what is service-specific: the slot pool and its recycling,
-   admission (queue/drop/shed), per-databank heaps, checkpoints and
-   journal segments, and the streaming metric accumulators. *)
+   admission (queue/drop/shed), checkpoints and journal segments, and the
+   streaming metric accumulators.  Planning is List_sched's rule engine
+   over slot ids — the same engine, on the same kernel, that Sim drives
+   over job ids. *)
 type daemon = {
   cfg : config;
   src : Source.t;
   kern : Kernel.t;                    (* slot-addressed: capacity max_live *)
   nm : int;
   nd : int;
-  hosts : int array array;            (* machines per databank *)
-  dbs_of_machine : int array array;
   (* slot pool: the only per-job storage, recycled on completion (the
      fluid columns live in the kernel, also slot-addressed) *)
   ext : int array;                    (* external job id; -1 = free *)
@@ -196,12 +195,7 @@ type daemon = {
   db : int array;
   free_slots : int Vec.t;             (* stack; top = next assigned *)
   mutable live : int;
-  heaps : Heap.Indexed.t array;       (* per databank, ids = slots *)
-  (* allocator scratch *)
-  mfree : bool array;
-  free_up : int array;
-  mutable wd : int;                   (* walk: best databank, -1 = none *)
-  mutable ws : int;                   (* walk: best slot *)
+  eng : List_sched.engine;            (* keyed on release/db/kernel *)
   cmp_ext : int -> int -> int;        (* ascending external id; built once
                                          so the per-step sort closes over
                                          nothing (a closure literal would
@@ -244,14 +238,6 @@ type daemon = {
   mutable lat_count : int;
 }
 
-let key d s =
-  match d.cfg.rule with
-  | Fcfs -> d.release.(s)
-  | Spt -> d.kern.Kernel.size.(s)
-  | Srpt -> d.kern.Kernel.remaining.(s)
-  | Swpt -> d.kern.Kernel.size.(s) *. d.kern.Kernel.size.(s)
-  | Swrpt -> d.kern.Kernel.remaining.(s) *. d.kern.Kernel.size.(s)
-
 let make_daemon cfg src =
   let platform = cfg.platform in
   let nm = Platform.num_machines platform in
@@ -262,6 +248,7 @@ let make_daemon cfg src =
     Vec.push free_slots s
   done;
   let ext = Array.make k (-1) in
+  let release = Array.make k 0.0 and db = Array.make k 0 in
   let kern =
     Kernel.create ~loss:cfg.loss
       ~speeds:
@@ -272,25 +259,10 @@ let make_daemon cfg src =
      yardstick, so the daemon's sliver rule is the per-job [1e-9 × size]
      (see Kernel.advance — [fmax size 0.0 = size] bit for bit). *)
   kern.Kernel.trace <- Fault.merge cfg.faults (Fault.of_platform platform);
-  { cfg; src; kern; nm; nd;
-    hosts =
-      Array.init nd (fun d ->
-          Platform.hosts_of platform d
-          |> List.map (fun (m : Machine.t) -> m.id)
-          |> Array.of_list);
-    dbs_of_machine =
-      Array.init nm (fun mid ->
-          let m = Platform.machine platform mid in
-          List.filter (fun d -> Machine.hosts m d) (List.init nd Fun.id)
-          |> Array.of_list);
-    ext;
-    release = Array.make k 0.0;
-    db = Array.make k 0;
-    free_slots; live = 0;
-    heaps = Array.init nd (fun _ -> Heap.Indexed.create ~capacity:k);
-    mfree = Array.make nm true;
-    free_up = Array.make nd 0;
-    wd = -1; ws = 0;
+  { cfg; src; kern; nm; nd; ext; release; db; free_slots; live = 0;
+    eng =
+      List_sched.engine ~rule:(flat_rule cfg.rule) ~platform ~capacity:k
+        ~release ~db;
     cmp_ext = (fun a b -> compare ext.(a) ext.(b));
     (* [max 1]: a zero-cap queue still needs well-formed (empty) ring
        columns *)
@@ -585,7 +557,10 @@ let restore cfg path make_source =
     | [ s; e; r; w; db; rem ] ->
       let s = p_int ps s in
       if s < 0 || s >= cfg.max_live then corrupt path "slot id out of range";
-      d.ext.(s) <- p_int ps e;
+      if d.ext.(s) >= 0 then corrupt path "two slot records name slot %d" s;
+      let e = p_int ps e in
+      if e < 0 then corrupt path "slot %d has negative external id %d" s e;
+      d.ext.(s) <- e;
       d.release.(s) <- p_float ps r;
       k.Kernel.size.(s) <- p_float ps w;
       d.db.(s) <- p_int ps db;
@@ -593,26 +568,29 @@ let restore cfg path make_source =
     | _ -> corrupt path "malformed 'slot' record"
   done;
   d.live <- nlive;
-  (* Rebuild the per-databank heaps from slot data: an indexed heap's
-     drain order is the ascending (key, slot) sort of its members, so
-     the rebuilt heaps schedule identically whatever the original
+  (* Rebuild the engine's heaps from slot data: the plan walk reads only
+     heap roots — the ascending (key, slot) minimum of each databank —
+     so the rebuilt heaps schedule identically whatever the original
      insertion history was. *)
   for s = 0 to cfg.max_live - 1 do
     if d.ext.(s) >= 0 then begin
       if d.db.(s) < 0 || d.db.(s) >= d.nd then
         corrupt path "slot %d references unknown databank %d" s d.db.(s);
-      Heap.Indexed.add d.heaps.(d.db.(s)) s (key d s)
+      List_sched.add d.eng k s
     end
   done;
   (match next_line ps "free" with
    | n :: ids ->
      if p_int ps n <> List.length ids then corrupt path "malformed 'free' record";
      Vec.clear d.free_slots;
+     let listed = Array.make cfg.max_live false in
      List.iter
        (fun v ->
          let s = p_int ps v in
          if s < 0 || s >= cfg.max_live || d.ext.(s) >= 0 then
            corrupt path "free stack names an occupied or out-of-range slot";
+         if listed.(s) then corrupt path "free stack lists slot %d twice" s;
+         listed.(s) <- true;
          Vec.push d.free_slots s)
        ids
    | [] -> corrupt path "malformed 'free' record");
@@ -730,7 +708,7 @@ let admit_live d ~ext ~databank =
   if databank < 0 || databank >= d.nd then
     failwith
       (Printf.sprintf "service: job %d requests unknown databank %d" ext databank);
-  if Array.length d.hosts.(databank) = 0 then
+  if List_sched.replicas d.eng databank = 0 then
     failwith
       (Printf.sprintf "service: job %d requests databank %d with no replica"
          ext databank);
@@ -742,10 +720,7 @@ let admit_live d ~ext ~databank =
   d.kern.Kernel.size.(s) <- d.adm.(1);
   d.db.(s) <- databank;
   d.kern.Kernel.remaining.(s) <- d.adm.(1);
-  (* Staged-key insert: [add] would box its float key argument at the
-     call boundary ([put_key] inlines to a raw float store). *)
-  Heap.Indexed.put_key d.heaps.(databank) s (key d s);
-  Heap.Indexed.add_keyed d.heaps.(databank) s;
+  List_sched.add d.eng d.kern s;
   d.live <- d.live + 1;
   if d.live > d.peak_live then d.peak_live <- d.live;
   d.admitted <- d.admitted + 1;
@@ -845,69 +820,6 @@ let rec pop_arrivals d =
 
 (* ---- scheduling -------------------------------------------------------- *)
 
-(* The List_sched heap walk, re-targeted at slots: repeatedly grab every
-   free up replica of the globally smallest (key, slot) among databanks
-   that still have one.  Slot ids stand in for job ids in the tiebreak;
-   slot assignment is itself deterministic (and checkpointed), so the
-   walk is reproducible across kill and resume.
-
-   A winner takes every free up replica of its databank, driving that
-   databank's [free_up] to zero — no databank yields twice, so the only
-   candidate a databank ever offers is its heap root.  Reading the root
-   through the slot accessors means the walk never mutates the heaps
-   (the old pop-winners-then-restore pattern paid two full-depth sifts
-   per winner), and the plan lands in the kernel's reusable flat buffer
-   in grab order instead of a consed list.  The running best lives in
-   daemon fields / the kernel scratch cell: locals would box (the float)
-   or allocate ref cells at every replan. *)
-let rec walk d =
-  d.wd <- -1;
-  for db = 0 to d.nd - 1 do
-    if d.free_up.(db) > 0 && Heap.Indexed.slot_count d.heaps.(db) > 0 then begin
-      let s = Heap.Indexed.slot_id d.heaps.(db) 0 in
-      let k = Heap.Indexed.slot_key d.heaps.(db) 0 in
-      if
-        d.wd < 0
-        || k < d.kern.Kernel.scratch.(0)
-        || (k = d.kern.Kernel.scratch.(0) && s < d.ws)
-      then begin
-        d.wd <- db;
-        d.ws <- s;
-        d.kern.Kernel.scratch.(0) <- k
-      end
-    end
-  done;
-  if d.wd >= 0 then begin
-    let s = d.ws in
-    let hosts = d.hosts.(d.wd) in
-    for i = 0 to Array.length hosts - 1 do
-      let m = hosts.(i) in
-      if d.mfree.(m) && d.kern.Kernel.up.(m) then begin
-        d.mfree.(m) <- false;
-        Pb.begin_machine d.kern.Kernel.plan m;
-        Pb.push_unit_share d.kern.Kernel.plan ~job:s;
-        let dbs = d.dbs_of_machine.(m) in
-        for q = 0 to Array.length dbs - 1 do
-          d.free_up.(dbs.(q)) <- d.free_up.(dbs.(q)) - 1
-        done
-      end
-    done;
-    walk d
-  end
-
-let heap_walk d =
-  Array.fill d.mfree 0 d.nm true;
-  for db = 0 to d.nd - 1 do
-    d.free_up.(db) <- 0;
-    let hosts = d.hosts.(db) in
-    for i = 0 to Array.length hosts - 1 do
-      if d.kern.Kernel.up.(hosts.(i)) then
-        d.free_up.(db) <- d.free_up.(db) + 1
-    done
-  done;
-  Pb.clear ~grab_order:true d.kern.Kernel.plan;
-  walk d
-
 let record_latency d dur =
   d.lat_hist.(lat_bin dur) <- d.lat_hist.(lat_bin dur) + 1;
   d.lat_count <- d.lat_count + 1;
@@ -922,22 +834,13 @@ let replan d =
      would dominate the daemon's steady-state allocation. *)
   let sample = d.cfg.replan_deadline <> None in
   let t0 = if sample then Unix.gettimeofday () else 0.0 in
-  (* Re-key what the last segment advanced (still-live members of the
-     old plan's support); static rules never need it.  [put_key] +
-     [update_keyed] rather than [update]: same sift sequence, but the
-     key never crosses a non-inlined call boundary, so no float box. *)
-  if not (rule_static d.cfg.rule) then
-    for i = 0 to Vec.length k.Kernel.rated - 1 do
-      let s = Vec.get k.Kernel.rated i in
-      if d.ext.(s) >= 0 then begin
-        let h = d.heaps.(d.db.(s)) in
-        if Heap.Indexed.mem h s then begin
-          Heap.Indexed.put_key h s (key d s);
-          Heap.Indexed.update_keyed h s
-        end
-      end
-    done;
-  heap_walk d;
+  (* Re-key what the last segment advanced (the old plan's support is
+     still in [rated]), then walk the heap roots into the kernel's plan
+     buffer.  Slot ids stand in for job ids in the tiebreak; slot
+     assignment is itself deterministic (and checkpointed), so the plan
+     is reproducible across kill and resume. *)
+  List_sched.rekey d.eng k;
+  List_sched.plan d.eng k k.Kernel.plan;
   (* The kernel zeroes the old support and reloads the rates from the
      buffer in canonical order — the same order the old list loader
      used, float summation included. *)
@@ -995,7 +898,7 @@ let step d =
     if t > d.acc.(m_makespan) then d.acc.(m_makespan) <- t;
     if J.on () then
       J.record (J.Sim_event { time = t; kind = J.Completion; subject = e });
-    Heap.Indexed.remove d.heaps.(d.db.(s)) s;
+    List_sched.remove d.eng s;
     d.ext.(s) <- -1;
     Vec.push d.free_slots s;
     d.live <- d.live - 1;

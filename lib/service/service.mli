@@ -14,15 +14,14 @@
     its release dates, so blocked jobs pay the wait in flow time), and
     [Shed] evicts the largest pending job to make room.
 
-    {b Scheduling.}  The five heap-backed priority rules of
-    {!Gripps_sched.List_sched}, re-targeted at the slot pool: one
-    indexed min-heap per databank, greedy machine grab in ascending
-    (key, slot) order.  The fluid advance (rates, crash-loss, sliver
-    completion) is not a mirror of the batch engine — it {e is} the
-    batch engine: the daemon drives the shared {!Gripps_engine.Kernel},
-    so on a common prefix of the same stream the daemon's clock,
-    remaining-work columns, completion times and journal segments are
-    bit-identical to {!Gripps_engine.Sim}'s.  (A stream cannot know the
+    {b Scheduling.}  Neither the rules nor the fluid advance are
+    mirrors of the batch engine — they {e are} the batch engine.  Plans
+    come from {!Gripps_sched.List_sched}'s rule engine, driven with slot
+    ids (the {!rule} picks its {!Gripps_sched.List_sched.flat_rule}),
+    and the daemon advances the shared {!Gripps_engine.Kernel}, so on a
+    common prefix of the same stream the daemon's clock, remaining-work
+    columns, completion times and journal segments are bit-identical to
+    {!Gripps_engine.Sim}'s.  (A stream cannot know the
     instance's total work, so the kernel's sliver yardstick stays at
     zero and the threshold degenerates to [1e-9 × job size] — the same
     arithmetic, one operand pinned.)
@@ -44,6 +43,8 @@
     and identity guarantees. *)
 
 type rule = Fcfs | Spt | Srpt | Swpt | Swrpt
+(** The daemon's configuration and CLI spelling of
+    {!Gripps_sched.List_sched.flat_rule}. *)
 
 val rule_name : rule -> string
 val rule_of_string : string -> rule option

@@ -72,6 +72,28 @@ expect 3 "resume from a corrupt checkpoint" \
   "$CLI" serve --seed 1 --n-jobs 40 --rate 4 --max-live 4 --queue-cap 2 \
   --checkpoint "$TMP/ck.bin" --checkpoint-every 3 --resume
 
+# A resealed checkpoint (valid length and checksum) whose free-slot
+# stack lists one slot twice exits 3 at restore, before any event runs.
+fnv64() {  # FNV-1a 64 of a file, printed like Fsio.fnv64
+  local h=$((0xcbf29ce484222325)) b
+  for b in $(od -An -v -tu1 "$1"); do
+    h=$(( (h ^ b) * 0x100000001b3 ))  # bash arithmetic wraps mod 2^64
+  done
+  printf '%016x' "$h"
+}
+rm -f "$TMP/ck.bin"
+"$CLI" serve --seed 1 --n-jobs 40 --rate 1 --max-live 4 --queue-cap 2 \
+  --checkpoint "$TMP/ck.bin" --checkpoint-every 1 --stop-after-events 2 \
+  >/dev/null 2>&1
+tail -n +2 "$TMP/ck.bin" | sed 's/^free 3 3 2 1$/free 3 3 2 2/' > "$TMP/payload"
+read -r magic version fp _ < "$TMP/ck.bin"
+{ printf '%s %s %s %d %s\n' "$magic" "$version" "$fp" \
+    "$(wc -c < "$TMP/payload")" "$(fnv64 "$TMP/payload")"
+  cat "$TMP/payload"; } > "$TMP/ck.bin"
+expect 3 "resume from a resealed checkpoint listing a free slot twice" \
+  "$CLI" serve --seed 1 --n-jobs 40 --rate 1 --max-live 4 --queue-cap 2 \
+  --checkpoint "$TMP/ck.bin" --checkpoint-every 1 --resume
+
 # The kill-and-resume flow itself succeeds end to end.
 rm -f "$TMP/ck.bin"
 "$CLI" serve --seed 1 --n-jobs 40 --rate 4 --max-live 4 --queue-cap 2 \

@@ -311,17 +311,20 @@ let prop_lemma1_equal_completions =
                jobs)
       in
       let u = Equivalence.to_uniprocessor inst in
+      let run sched inst =
+        (Sim.run_report_flat ~horizon:1e7 sched inst).Sim.schedule
+      in
       List.for_all
         (fun sched ->
-          let c1 = Sim.run ~horizon:1e7 sched inst in
-          let c2 = Sim.run ~horizon:1e7 sched u in
+          let c1 = run sched inst in
+          let c2 = run sched u in
           List.for_all
             (fun j ->
               abs_float (Schedule.completion_exn c1 j -. Schedule.completion_exn c2 j)
               < 1e-6)
             (List.init (Instance.num_jobs inst) Fun.id))
-        [ Gripps_sched.List_sched.srpt; Gripps_sched.List_sched.swrpt;
-          Gripps_sched.List_sched.fcfs ])
+        [ Gripps_sched.List_sched.flat_srpt; Gripps_sched.List_sched.flat_swrpt;
+          Gripps_sched.List_sched.flat_fcfs ])
 
 (* --- Offline and on-line heuristics in the simulator ------------------- *)
 
@@ -423,7 +426,10 @@ let prop_offline_lower_bounds_heuristics =
             let m = Metrics.of_schedule (Sim.run ~horizon:1e8 s inst) in
             m.Metrics.max_stretch >= opt -. 1e-6 *. Float.max 1.0 opt)
           [ Offline.scheduler; Online_lp.online; Online_lp.online_egdf;
-            Gripps_sched.List_sched.srpt; Gripps_sched.List_sched.swrpt;
+            Gripps_sched.Legacy_adapter.resort_scheduler ~name:"SRPT"
+              ~rule:Gripps_sched.Priority.srpt;
+            Gripps_sched.Legacy_adapter.resort_scheduler ~name:"SWRPT"
+              ~rule:Gripps_sched.Priority.swrpt;
             Gripps_sched.Greedy.mct; Bender.bender02 ])
 
 let prop_offline_realizes_optimum =
@@ -464,7 +470,10 @@ let test_starvation_of_srpt () =
      linearly with k while the optimal max-stretch stays bounded. *)
   let delta = 4.0 and k = 40 in
   let inst = Adversary.starvation ~delta ~k in
-  let sched = Sim.run ~horizon:1e7 Gripps_sched.List_sched.srpt inst in
+  let sched =
+    (Sim.run_report_flat ~horizon:1e7 Gripps_sched.List_sched.flat_srpt inst)
+      .Sim.schedule
+  in
   let completion = Schedule.completion_exn sched 0 in
   (* SRPT serves every unit job first: J_delta finishes last. *)
   Alcotest.(check bool) "long job finishes last" true
@@ -490,8 +499,12 @@ let test_theorem2_simulation () =
      ratio must exceed 2 - ε (for ε = 0.6 and a long unit tail). *)
   let epsilon = 0.6 and l = 1500 in
   let inst = Adversary.swrpt_instance ~epsilon ~l in
-  let sum s = (Metrics.of_schedule (Sim.run ~horizon:1e12 s inst)).Metrics.sum_stretch in
-  let ratio = sum Gripps_sched.List_sched.swrpt /. sum Gripps_sched.List_sched.srpt in
+  let sum s =
+    (Sim.run_report_flat ~horizon:1e12 s inst).Sim.metrics.Metrics.sum_stretch
+  in
+  let ratio =
+    sum Gripps_sched.List_sched.flat_swrpt /. sum Gripps_sched.List_sched.flat_srpt
+  in
   Alcotest.(check bool)
     (Printf.sprintf "SWRPT/SRPT ratio %.4f > 2 - eps" ratio)
     true

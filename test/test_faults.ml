@@ -72,8 +72,8 @@ let outage = [ down 5.0 0; up 7.0 0 ]
 
 let test_crash_loses_in_flight_work () =
   let r =
-    Sim.run_report ~horizon:1e6 ~faults:outage ~loss:Fault.Crash List_sched.srpt
-      (single_job_inst ())
+    Sim.run_report_flat ~horizon:1e6 ~faults:outage ~loss:Fault.Crash
+      List_sched.flat_srpt (single_job_inst ())
   in
   Alcotest.(check (float 1e-9)) "completion" 17.0
     (Schedule.completion_exn r.Sim.schedule 0);
@@ -82,8 +82,8 @@ let test_crash_loses_in_flight_work () =
 
 let test_pause_preserves_work () =
   let r =
-    Sim.run_report ~horizon:1e6 ~faults:outage ~loss:Fault.Pause List_sched.srpt
-      (single_job_inst ())
+    Sim.run_report_flat ~horizon:1e6 ~faults:outage ~loss:Fault.Pause
+      List_sched.flat_srpt (single_job_inst ())
   in
   Alcotest.(check (float 1e-9)) "completion" 12.0
     (Schedule.completion_exn r.Sim.schedule 0);
@@ -97,9 +97,11 @@ let test_static_downtime_equivalent () =
     Platform.with_downtime (Platform.single ~speed:1.0) [ (0, [ (5.0, 7.0) ]) ]
   in
   let inst = Instance.make ~platform ~jobs:[ mk_job ~size:10.0 () ] in
-  let sched = Sim.run ~horizon:1e6 ~loss:Fault.Pause List_sched.srpt inst in
+  let r =
+    Sim.run_report_flat ~horizon:1e6 ~loss:Fault.Pause List_sched.flat_srpt inst
+  in
   Alcotest.(check (float 1e-9)) "pause completion" 12.0
-    (Schedule.completion_exn sched 0)
+    (Schedule.completion_exn r.Sim.schedule 0)
 
 let test_down_machine_allocation_rejected () =
   let stubborn =
@@ -118,20 +120,20 @@ let test_down_machine_allocation_rejected () =
 let test_waiting_for_repair_is_not_stalled () =
   (* Every machine down at the release: the engine must idle until the
      repair rather than raise Stalled. *)
-  let sched =
-    Sim.run ~horizon:1e6
+  let r =
+    Sim.run_report_flat ~horizon:1e6
       ~faults:[ down 0.0 0; up 50.0 0 ]
-      List_sched.srpt (single_job_inst ())
+      List_sched.flat_srpt (single_job_inst ())
   in
   Alcotest.(check (float 1e-9)) "resumes at repair" 60.0
-    (Schedule.completion_exn sched 0)
+    (Schedule.completion_exn r.Sim.schedule 0)
 
 let test_fault_unknown_machine_rejected () =
   Alcotest.check_raises "unknown machine in trace"
     (Invalid_argument "SRPT: fault trace references unknown machine") (fun () ->
       ignore
-        (Sim.run ~horizon:1e6 ~faults:[ down 1.0 5 ] List_sched.srpt
-           (single_job_inst ())))
+        (Sim.run_report_flat ~horizon:1e6 ~faults:[ down 1.0 5 ]
+           List_sched.flat_srpt (single_job_inst ())))
 
 (* ---- conservation under failures (qcheck) ----------------------------- *)
 
@@ -169,7 +171,9 @@ let prop_conservation_under_faults =
           ~until:20.0
       in
       let loss = if crash then Fault.Crash else Fault.Pause in
-      let r = Sim.run_report ~horizon:1e7 ~faults ~loss List_sched.swrpt inst in
+      let r =
+        Sim.run_report_flat ~horizon:1e7 ~faults ~loss List_sched.flat_swrpt inst
+      in
       Schedule.validate r.Sim.schedule = []
       && Schedule.all_completed r.Sim.schedule
       && Array.for_all (fun l -> l >= 0.0) r.Sim.lost
@@ -232,7 +236,9 @@ let test_online_budget_degrades_to_swrpt () =
   let degraded =
     Sim.run ~horizon:1e9 (Online_lp.online_budgeted zero_budget) inst
   in
-  let swrpt = Sim.run ~horizon:1e9 List_sched.swrpt inst in
+  let swrpt =
+    (Sim.run_report_flat ~horizon:1e9 List_sched.flat_swrpt inst).Sim.schedule
+  in
   Alcotest.(check bool) "completes" true (Schedule.all_completed degraded);
   for j = 0 to Instance.num_jobs inst - 1 do
     Alcotest.(check (float 1e-9)) "same completions"

@@ -1,9 +1,8 @@
 (* The flat (zero-allocation) engine path: a steady-state allocation
    budget pinned by the [sim.minor_words] counter, and a qcheck
-   differential pinning the flat-buffer adapter byte-identical to the
-   legacy list path across all five priority rules, under crash faults,
-   on a restricted-availability platform, sharded over a 2-domain
-   pool. *)
+   differential pinning the rule engine byte-identical to the legacy
+   resort oracle across all five priority rules, under crash faults, on
+   a restricted-availability platform, sharded over a 2-domain pool. *)
 
 open Gripps_model
 open Gripps_engine
@@ -65,7 +64,7 @@ let test_zero_allocation_steady_state () =
         true
         (gc_per_event <= 3.0))
 
-(* ---- differential: flat buffer vs legacy list path --------------------- *)
+(* ---- differential: rule engine vs legacy resort oracle ------------------ *)
 
 (* Two databanks, one machine of each flavor plus one hosting both, so
    the heap walk faces genuinely restricted availability. *)
@@ -78,11 +77,11 @@ let restricted_platform =
     ~num_databanks:2
 
 let rule_pairs =
-  [| ("FCFS", List_sched.flat_fcfs, List_sched.fcfs);
-     ("SPT", List_sched.flat_spt, List_sched.spt);
-     ("SRPT", List_sched.flat_srpt, List_sched.srpt);
-     ("SWPT", List_sched.flat_swpt, List_sched.swpt);
-     ("SWRPT", List_sched.flat_swrpt, List_sched.swrpt) |]
+  [| (List_sched.flat_fcfs, Priority.fcfs);
+     (List_sched.flat_spt, Priority.spt);
+     (List_sched.flat_srpt, Priority.srpt);
+     (List_sched.flat_swpt, Priority.swpt);
+     (List_sched.flat_swrpt, Priority.swrpt) |]
 
 let scenario_gen =
   QCheck2.Gen.(
@@ -130,7 +129,7 @@ let same_report (a : Sim.report) (b : Sim.report) =
   && a.Sim.events = b.Sim.events
   && a.Sim.replans = b.Sim.replans
 
-(* A 2-domain pool: the flat-vs-legacy comparison runs sharded across
+(* A 2-domain pool: the flat-vs-oracle comparison runs sharded across
    domains, which doubles as a determinism check on the parallel path. *)
 let pool = Pool.create ~domains:2 ()
 
@@ -149,13 +148,16 @@ let prop_flat_matches_legacy =
       in
       let faults = faults_of outages in
       Pool.map_list pool ~shards:(Array.length rule_pairs) (fun i ->
-          let _, flat, legacy = rule_pairs.(i) in
+          let flat, rule = rule_pairs.(i) in
           let a =
             Sim.run_report_flat ~horizon:1e7 ~faults ~loss:Fault.Crash flat
               inst
           in
+          let oracle =
+            Legacy_adapter.resort_scheduler ~name:flat.Sim.fname ~rule
+          in
           let b =
-            Sim.run_report ~horizon:1e7 ~faults ~loss:Fault.Crash legacy inst
+            Sim.run_report ~horizon:1e7 ~faults ~loss:Fault.Crash oracle inst
           in
           same_report a b)
       |> List.for_all Fun.id)

@@ -19,7 +19,10 @@ let completed_instance ?(users = 1) seed =
       ~horizon:8.0 ~users ()
   in
   let inst = W.Generator.instance (Gripps_rng.Splitmix.create seed) c in
-  let sched = Sim.run ~horizon:1e9 Gripps_sched.List_sched.srpt inst in
+  let sched =
+    (Sim.run_report_flat ~horizon:1e9 Gripps_sched.List_sched.flat_srpt inst)
+      .Sim.schedule
+  in
   let completion =
     Array.init (Instance.num_jobs inst) (fun j ->
         Option.get sched.Schedule.completion.(j))

@@ -290,7 +290,9 @@ let prop_replay_reproduces_run =
           Schedule.validate replayed = []
           && Schedule.all_completed replayed
           && compare report.Sim.metrics (Metrics.of_schedule replayed) = 0)
-        [ Gripps_core.Online_lp.online; Gripps_sched.List_sched.swrpt ])
+        [ Gripps_core.Online_lp.online;
+          Gripps_sched.Legacy_adapter.resort_scheduler ~name:"SWRPT"
+            ~rule:Gripps_sched.Priority.swrpt ])
 
 let test_replay_under_faults () =
   let config =
@@ -306,8 +308,8 @@ let test_replay_under_faults () =
   in
   Obs.with_level Obs.Events (fun () ->
       let report =
-        Sim.run_report ~horizon:1e9 ~faults ~loss:Fault.Crash
-          Gripps_sched.List_sched.swrpt inst
+        Sim.run_report_flat ~horizon:1e9 ~faults ~loss:Fault.Crash
+          Gripps_sched.List_sched.flat_swrpt inst
       in
       let replayed = Replay.schedule_of_journal inst report.Sim.journal in
       Alcotest.(check bool) "crash-run metrics reproduced bitwise" true
@@ -399,7 +401,9 @@ let test_horizon_exceeded_carries_journal () =
           Job.make ~id:1 ~release:5.0 ~size:1.0 ~databank:0 ]
   in
   Obs.with_level Obs.Events (fun () ->
-      match Sim.run ~horizon:1.0 Gripps_sched.List_sched.swrpt inst with
+      match
+        Sim.run_report_flat ~horizon:1.0 Gripps_sched.List_sched.flat_swrpt inst
+      with
       | _ -> Alcotest.fail "expected Horizon_exceeded"
       | exception Sim.Horizon_exceeded { journal; _ } ->
         Alcotest.(check bool) "partial journal non-empty" true (journal <> []);
@@ -428,7 +432,9 @@ let test_parallel_journal_merge () =
       let results =
         Pool.try_map (Pool.create ~domains:2 ()) ~shards:2 (fun i ->
             let inst = List.nth instances i in
-            (inst, Sim.run_report ~horizon:1e9 Gripps_sched.List_sched.swrpt inst))
+            ( inst,
+              Sim.run_report_flat ~horizon:1e9
+                Gripps_sched.List_sched.flat_swrpt inst ))
       in
       let reports =
         Array.to_list results

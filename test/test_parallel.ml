@@ -219,9 +219,10 @@ let test_horizon_exceeded_in_shard () =
       J.clear ();
       let results =
         Pool.try_map (Pool.create ~domains:2 ()) ~shards:3 (fun i ->
-            if i = 1 then
-              ignore (Sim.run ~horizon:1.0 Gripps_sched.List_sched.swrpt tiny_overrun)
-            else ignore (Sim.run ~horizon:1e9 Gripps_sched.List_sched.swrpt tiny_overrun))
+            let horizon = if i = 1 then 1.0 else 1e9 in
+            ignore
+              (Sim.run_report_flat ~horizon Gripps_sched.List_sched.flat_swrpt
+                 tiny_overrun))
       in
       (match results.(1) with
        | Error (Sim.Horizon_exceeded { journal; _ }) ->

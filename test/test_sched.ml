@@ -11,9 +11,10 @@ let mk_job ?(id = 0) ?(release = 0.0) ?(size = 1.0) ?(databank = 0) () =
 
 let uni = Platform.single ~speed:1.0
 let run sched inst = Sim.run ~horizon:1e7 sched inst
-let completion sched inst j = Schedule.completion_exn (run sched inst) j
+let run_flat sched inst = (Sim.run_report_flat ~horizon:1e7 sched inst).Sim.schedule
+let completion sched inst j = Schedule.completion_exn (run_flat sched inst) j
 
-let metrics sched inst = Metrics.of_schedule (run sched inst)
+let metrics sched inst = Metrics.of_schedule (run_flat sched inst)
 
 let test_fcfs_order () =
   let inst =
@@ -22,8 +23,8 @@ let test_fcfs_order () =
         [ mk_job ~size:3.0 (); mk_job ~id:1 ~release:1.0 ~size:1.0 () ]
   in
   (* FCFS never preempts job 0 for job 1. *)
-  Alcotest.(check (float 1e-9)) "C0" 3.0 (completion List_sched.fcfs inst 0);
-  Alcotest.(check (float 1e-9)) "C1" 4.0 (completion List_sched.fcfs inst 1)
+  Alcotest.(check (float 1e-9)) "C0" 3.0 (completion List_sched.flat_fcfs inst 0);
+  Alcotest.(check (float 1e-9)) "C1" 4.0 (completion List_sched.flat_fcfs inst 1)
 
 let test_srpt_preempts () =
   let inst =
@@ -31,8 +32,10 @@ let test_srpt_preempts () =
       ~jobs:[ mk_job ~size:3.0 (); mk_job ~id:1 ~release:1.0 ~size:1.0 () ]
   in
   (* At t = 1, remaining are 2 and 1: SRPT switches to job 1. *)
-  Alcotest.(check (float 1e-9)) "C1 preempts" 2.0 (completion List_sched.srpt inst 1);
-  Alcotest.(check (float 1e-9)) "C0 resumes" 4.0 (completion List_sched.srpt inst 0)
+  Alcotest.(check (float 1e-9)) "C1 preempts" 2.0
+    (completion List_sched.flat_srpt inst 1);
+  Alcotest.(check (float 1e-9)) "C0 resumes" 4.0
+    (completion List_sched.flat_srpt inst 0)
 
 let test_spt_vs_srpt_difference () =
   (* SPT uses original sizes: an almost-finished long job is preempted by
@@ -42,10 +45,13 @@ let test_spt_vs_srpt_difference () =
       ~jobs:[ mk_job ~size:4.0 (); mk_job ~id:1 ~release:3.5 ~size:2.0 () ]
   in
   (* At t = 3.5: remaining(J0) = 0.5 < 2 so SRPT finishes J0 first. *)
-  Alcotest.(check (float 1e-9)) "SRPT finishes J0" 4.0 (completion List_sched.srpt inst 0);
+  Alcotest.(check (float 1e-9)) "SRPT finishes J0" 4.0
+    (completion List_sched.flat_srpt inst 0);
   (* SPT compares original sizes 4 > 2 and preempts J0. *)
-  Alcotest.(check (float 1e-9)) "SPT preempts J0" 5.5 (completion List_sched.spt inst 1);
-  Alcotest.(check (float 1e-9)) "SPT delays J0" 6.0 (completion List_sched.spt inst 0)
+  Alcotest.(check (float 1e-9)) "SPT preempts J0" 5.5
+    (completion List_sched.flat_spt inst 1);
+  Alcotest.(check (float 1e-9)) "SPT delays J0" 6.0
+    (completion List_sched.flat_spt inst 0)
 
 let test_swrpt_keeps_almost_done_job () =
   (* SWRPT weighs remaining time by size: J0 nearly done wins even though
@@ -56,7 +62,7 @@ let test_swrpt_keeps_almost_done_job () =
   in
   (* keys at 3.5: J0 = 0.5*4 = 2; J1 = 2*2 = 4 -> J0 first. *)
   Alcotest.(check (float 1e-9)) "SWRPT finishes J0" 4.0
-    (completion List_sched.swrpt inst 0)
+    (completion List_sched.flat_swrpt inst 0)
 
 let test_restricted_availability_distribution () =
   (* Two machines; db 0 on both, db 1 on machine 1 only.  The high
@@ -72,7 +78,7 @@ let test_restricted_availability_distribution () =
     Instance.make ~platform:p
       ~jobs:[ mk_job ~size:2.0 ~databank:0 (); mk_job ~id:1 ~size:4.0 ~databank:1 () ]
   in
-  let sched = run List_sched.srpt inst in
+  let sched = run_flat List_sched.flat_srpt inst in
   Alcotest.(check (list string)) "valid" [] (Schedule.validate sched);
   (* J0 (remaining 2) runs on both machines, finishing at t = 1; J1 gets
      machine 1 only afterwards... J1 can only use machine 1: it idles
@@ -130,7 +136,7 @@ let prop_srpt_optimal_sum_flow =
     small_instance_gen
     (fun jobs ->
       let inst = instance_of jobs in
-      let srpt = (metrics List_sched.srpt inst).Metrics.sum_flow in
+      let srpt = (metrics List_sched.flat_srpt inst).Metrics.sum_flow in
       let best = brute_force_best inst ~objective:(fun m -> m.Metrics.sum_flow) in
       srpt <= best +. 1e-6)
 
@@ -139,7 +145,7 @@ let prop_fcfs_optimal_max_flow =
     small_instance_gen
     (fun jobs ->
       let inst = instance_of jobs in
-      let fcfs = (metrics List_sched.fcfs inst).Metrics.max_flow in
+      let fcfs = (metrics List_sched.flat_fcfs inst).Metrics.max_flow in
       let best = brute_force_best inst ~objective:(fun m -> m.Metrics.max_flow) in
       fcfs <= best +. 1e-6)
 
@@ -149,7 +155,7 @@ let prop_srpt_2_competitive_sum_stretch =
     small_instance_gen
     (fun jobs ->
       let inst = instance_of jobs in
-      let srpt = (metrics List_sched.srpt inst).Metrics.sum_stretch in
+      let srpt = (metrics List_sched.flat_srpt inst).Metrics.sum_stretch in
       let best = brute_force_best inst ~objective:(fun m -> m.Metrics.sum_stretch) in
       srpt <= (2.0 *. best) +. 1e-6)
 
@@ -173,7 +179,7 @@ let test_mct_no_preemption_small_job_suffers () =
     Instance.make ~platform:uni
       ~jobs:[ mk_job ~size:100.0 (); mk_job ~id:1 ~release:1.0 ~size:1.0 () ]
   in
-  Alcotest.(check (float 1e-9)) "small job waits" 101.0 (completion Greedy.mct inst 1)
+  Alcotest.(check (float 1e-9)) "small job waits" 101.0 (Schedule.completion_exn (run Greedy.mct inst) 1)
 
 let test_mct_div_uses_all_machines () =
   (* One job, two machines: MCT-Div runs it on both (rate 2). *)
@@ -213,10 +219,11 @@ let prop_all_heuristics_produce_valid_schedules =
       let inst = instance_of jobs in
       List.for_all
         (fun s ->
-          let sched = run s inst in
+          let sched = run_flat s inst in
           Schedule.validate sched = [] && Schedule.all_completed sched)
-        [ List_sched.fcfs; List_sched.spt; List_sched.srpt; List_sched.swpt;
-          List_sched.swrpt; Greedy.mct; Greedy.mct_div ])
+        [ List_sched.flat_fcfs; List_sched.flat_spt; List_sched.flat_srpt;
+          List_sched.flat_swpt; List_sched.flat_swrpt;
+          Legacy_adapter.flat Greedy.mct; Legacy_adapter.flat Greedy.mct_div ])
 
 let suite =
   ( "sched",
@@ -247,7 +254,8 @@ let prop_swpt_equals_spt =
     small_instance_gen
     (fun jobs ->
       let inst = instance_of jobs in
-      let c1 = run List_sched.swpt inst and c2 = run List_sched.spt inst in
+      let c1 = run_flat List_sched.flat_swpt inst
+      and c2 = run_flat List_sched.flat_spt inst in
       List.for_all
         (fun j ->
           abs_float (Schedule.completion_exn c1 j -. Schedule.completion_exn c2 j)
@@ -257,10 +265,10 @@ let prop_swpt_equals_spt =
 let suite =
   (fst suite, snd suite @ [ QCheck_alcotest.to_alcotest prop_swpt_equals_spt ])
 
-(* ---- incremental vs legacy resort: the byte-identity contract ----------
+(* ---- rule engine vs legacy resort: the byte-identity contract ----------
 
-   The heap-backed incremental schedulers must be indistinguishable from
-   the sort-from-scratch originals: same metrics, same segment list, same
+   The heap-backed rule engine must be indistinguishable from the
+   sort-from-scratch originals: same metrics, same segment list, same
    completion vector, same journal (replans, allocations, sim events) —
    structural equality, i.e. float by float, fault traces included. *)
 
@@ -271,9 +279,18 @@ module Sweep = Gripps_parallel.Sweep
 module W = Gripps_workload
 
 let diff_panel =
-  [ ("FCFS", Priority.fcfs, true); ("SPT", Priority.spt, true);
-    ("SRPT", Priority.srpt, false); ("SWPT", Priority.swpt, true);
-    ("SWRPT", Priority.swrpt, false) ]
+  [ (List_sched.Rule_fcfs, Priority.fcfs); (List_sched.Rule_spt, Priority.spt);
+    (List_sched.Rule_srpt, Priority.srpt); (List_sched.Rule_swpt, Priority.swpt);
+    (List_sched.Rule_swrpt, Priority.swrpt) ]
+
+let run_engine ?faults ?loss (flat, _) inst =
+  Sim.run_report_flat ~horizon:1e9 ?faults ?loss
+    (List_sched.flat_scheduler flat) inst
+
+let run_oracle ?faults ?loss (flat, rule) inst =
+  Sim.run_report ~horizon:1e9 ?faults ?loss
+    (Legacy_adapter.resort_scheduler ~name:(List_sched.rule_name flat) ~rule)
+    inst
 
 (* A generated workload (restricted databank availability and all), or
    [None] when the Poisson draw comes up empty. *)
@@ -328,23 +345,15 @@ let prop_incremental_equals_resort =
           else (None, None)
         in
         List.for_all
-          (fun (name, rule, static) ->
+          (fun rules ->
             journaled (fun () ->
-                let incr =
-                  Sim.run_report ~horizon:1e9 ?faults ?loss
-                    (List_sched.scheduler ~static ~name ~rule ())
-                    inst
-                in
-                let legacy =
-                  Sim.run_report ~horizon:1e9 ?faults ?loss
-                    (Legacy_adapter.resort_scheduler ~name ~rule)
-                    inst
-                in
-                same_run incr legacy))
+                same_run
+                  (run_engine ?faults ?loss rules inst)
+                  (run_oracle ?faults ?loss rules inst)))
           diff_panel)
 
 (* Under a 2-domain pool the merged journal stream (one shard per rule)
-   must also match the legacy path's, shard order and all. *)
+   must also match the oracle's, shard order and all. *)
 let test_incremental_differential_pool () =
   let rec first_workload seed =
     match gen_workload seed with
@@ -352,12 +361,12 @@ let test_incremental_differential_pool () =
     | None -> first_workload (seed + 1)
   in
   let inst = first_workload 11 in
-  let run_panel mk =
+  let run_panel run =
     Obs.with_level Obs.Events (fun () ->
         J.clear ();
         let sweep =
-          Sweep.of_list diff_panel (fun (name, rule, static) ->
-              let r = Sim.run_report ~horizon:1e9 (mk ~name ~rule ~static) inst in
+          Sweep.of_list diff_panel (fun rules ->
+              let r : Sim.report = run rules inst in
               ( r.Sim.metrics,
                 r.Sim.schedule.Schedule.segments,
                 r.Sim.schedule.Schedule.completion ))
@@ -371,12 +380,8 @@ let test_incremental_differential_pool () =
         J.clear ();
         (rs, evs))
   in
-  let ri, ji =
-    run_panel (fun ~name ~rule ~static -> List_sched.scheduler ~static ~name ~rule ())
-  in
-  let rl, jl =
-    run_panel (fun ~name ~rule ~static:_ -> Legacy_adapter.resort_scheduler ~name ~rule)
-  in
+  let ri, ji = run_panel (fun rules inst -> run_engine rules inst) in
+  let rl, jl = run_panel (fun rules inst -> run_oracle rules inst) in
   Alcotest.(check bool) "panel results identical under --jobs 2" true
     (compare ri rl = 0);
   Alcotest.(check bool) "merged journals identical under --jobs 2" true

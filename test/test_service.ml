@@ -140,47 +140,71 @@ let test_shed_policy () =
 
 let test_agrees_with_sim () =
   (* Fault-free, capacity above the job count: the daemon and the batch
-     engine drive the same kernel, so per-job completion times are bit
-     identical — metrics must agree {e exactly}, not to a tolerance.
-     The two sides do sum metrics in different orders (job id vs
-     completion order), so the workload is dyadic end to end: unit
-     speeds (rates 1.0 or 2.0), dyadic releases and power-of-two sizes
-     make every flow, stretch and partial sum exactly representable,
-     and exact float addition is order-independent.  Distinct sizes
-     keep the tie-breaks out of play. *)
-  let platform = uni_platform [ 1.0; 1.0 ] in
-  let jobs_spec =
-    [ (0.0, 4.0); (0.5, 2.0); (1.0, 8.0); (2.5, 0.5); (3.0, 16.0); (4.0, 1.0) ]
+     engine drive the same kernel and the same rule engine, so per-job
+     completion times are bit identical — metrics must agree {e
+     exactly}, not to a tolerance.  The two sides do sum metrics in
+     different orders (job id vs completion order), so the workloads are
+     dyadic end to end: unit speeds (rates 1.0 or 2.0), dyadic releases
+     and power-of-two sizes make every flow, stretch and partial sum
+     exactly representable, and exact float addition is
+     order-independent.  Distinct releases and sizes keep the tie-breaks
+     (job id vs slot id) out of play. *)
+  let agree what platform jobs_spec =
+    List.iter
+      (fun (rule, sched) ->
+        let cfg = Service.config ~platform ~rule ~max_live:16 () in
+        let items =
+          List.map
+            (fun (r, w, d) -> { Source.release = r; size = w; databank = d })
+            jobs_spec
+        in
+        let r = Service.run cfg (Source.of_list items) in
+        let inst =
+          Instance.make ~platform
+            ~jobs:
+              (List.mapi
+                 (fun i (rl, w, d) -> Job.make ~id:i ~release:rl ~size:w ~databank:d)
+                 jobs_spec)
+        in
+        let sim = Sim.run_report_flat sched inst in
+        let exact field a b =
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s %s %s" what (Service.rule_name rule) field)
+            b a
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "%s %s completed" what (Service.rule_name rule))
+          (List.length jobs_spec) r.metrics.Service.completed;
+        exact "sum stretch" r.metrics.Service.sum_stretch
+          sim.Sim.metrics.Metrics.sum_stretch;
+        exact "max stretch" r.metrics.Service.max_stretch
+          sim.Sim.metrics.Metrics.max_stretch;
+        exact "sum flow" r.metrics.Service.sum_flow
+          sim.Sim.metrics.Metrics.sum_flow;
+        exact "makespan" r.metrics.Service.makespan
+          sim.Sim.metrics.Metrics.makespan)
+      [ (Service.Fcfs, List_sched.flat_fcfs); (Service.Spt, List_sched.flat_spt);
+        (Service.Srpt, List_sched.flat_srpt);
+        (Service.Swpt, List_sched.flat_swpt);
+        (Service.Swrpt, List_sched.flat_swrpt) ]
   in
-  List.iter
-    (fun (rule, sched) ->
-      let cfg = Service.config ~platform ~rule ~max_live:16 () in
-      let r = Service.run cfg (Source.of_list (items_of jobs_spec)) in
-      let inst =
-        Instance.make ~platform
-          ~jobs:
-            (List.mapi
-               (fun i (rl, w) -> Job.make ~id:i ~release:rl ~size:w ~databank:0)
-               jobs_spec)
-      in
-      let sim = Sim.run_report_flat sched inst in
-      let exact what a b =
-        Alcotest.(check (float 0.0))
-          (Printf.sprintf "%s %s" (Service.rule_name rule) what)
-          b a
-      in
-      exact "sum stretch" r.metrics.Service.sum_stretch
-        sim.Sim.metrics.Metrics.sum_stretch;
-      exact "max stretch" r.metrics.Service.max_stretch
-        sim.Sim.metrics.Metrics.max_stretch;
-      exact "sum flow" r.metrics.Service.sum_flow
-        sim.Sim.metrics.Metrics.sum_flow;
-      exact "makespan" r.metrics.Service.makespan
-        sim.Sim.metrics.Metrics.makespan)
-    [ (Service.Fcfs, List_sched.flat_fcfs); (Service.Spt, List_sched.flat_spt);
-      (Service.Srpt, List_sched.flat_srpt);
-      (Service.Swpt, List_sched.flat_swpt);
-      (Service.Swrpt, List_sched.flat_swrpt) ]
+  agree "one databank" (uni_platform [ 1.0; 1.0 ])
+    [ (0.0, 4.0, 0); (0.5, 2.0, 0); (1.0, 8.0, 0); (2.5, 0.5, 0);
+      (3.0, 16.0, 0); (4.0, 1.0, 0) ];
+  (* Restricted availability: machine 2 hosts both databanks, so a grab
+     on one databank takes a free host from the other — the cross-databank
+     free-host accounting the two drivers share. *)
+  let two_databanks =
+    Platform.make
+      ~machines:
+        [ Machine.make ~id:0 ~speed:1.0 ~databanks:[| true; false |];
+          Machine.make ~id:1 ~speed:1.0 ~databanks:[| false; true |];
+          Machine.make ~id:2 ~speed:1.0 ~databanks:[| true; true |] ]
+      ~num_databanks:2
+  in
+  agree "two databanks" two_databanks
+    [ (0.0, 4.0, 0); (0.5, 2.0, 1); (1.0, 8.0, 0); (1.5, 1.0, 1);
+      (2.5, 0.5, 0); (3.0, 16.0, 1); (3.5, 32.0, 0); (4.0, 0.25, 1) ]
 
 (* ---- random scenarios for the torture property ------------------------- *)
 
@@ -459,7 +483,58 @@ let test_checkpoint_corruption_detected () =
       (* Intact checkpoint, intact config: resume completes. *)
       let r2 = Service.resume cfg sc.mk_source in
       Alcotest.(check bool) "clean resume drains" true
-        (r2.outcome = Service.Drained))
+        (r2.outcome = Service.Drained));
+  (* Impossible slot-pool states behind a valid seal: the checksum
+     passes, so restore's consistency checks must refuse them before any
+     event runs.  Pinned fixture: FCFS on one machine, four slots, the
+     checkpoint taken at t = 0 with jobs 0 and 1 in slots 0 and 1 (job 0
+     running) and slots 3, 2 on the free stack. *)
+  with_tmpdir (fun dir ->
+      let ckpt = Filename.concat dir "ckpt" in
+      let cfg =
+        Service.config ~platform:(uni_platform [ 1.0 ]) ~rule:Service.Fcfs
+          ~max_live:4 ~checkpoint:ckpt ~checkpoint_every:1 ()
+      in
+      let items = items_of [ (0.0, 4.0); (0.0, 8.0); (1.0, 2.0) ] in
+      let source ~cursor ~clock:_ = Source.of_list ~skip:cursor items in
+      let r =
+        Service.run ~stop_after_events:3 cfg (source ~cursor:0 ~clock:0.0)
+      in
+      Alcotest.(check bool) "fixture killed" true (r.outcome = Service.Killed);
+      let original = Fsio.read_file ckpt in
+      let reseal ~from ~into =
+        let i = String.index original '\n' in
+        let lines =
+          String.split_on_char '\n'
+            (String.sub original (i + 1) (String.length original - i - 1))
+        in
+        if not (List.mem from lines) then
+          Alcotest.failf "fixture checkpoint has no line %S" from;
+        let payload =
+          String.concat "\n" (List.map (fun l -> if l = from then into else l) lines)
+        in
+        match String.split_on_char ' ' (String.sub original 0 i) with
+        | [ magic; version; fp; _; _ ] ->
+          Fsio.write_atomic ~path:ckpt
+            (Printf.sprintf "%s %s %s %d %s\n%s" magic version fp
+               (String.length payload) (Fsio.fnv64 payload) payload)
+        | _ -> Alcotest.fail "malformed checkpoint header"
+      in
+      let expect_failure what =
+        match Service.resume cfg source with
+        | _ -> Alcotest.failf "%s accepted" what
+        | exception Failure _ -> ()
+      in
+      reseal ~from:"free 2 3 2" ~into:"free 2 3 3";
+      expect_failure "free stack listing a slot twice";
+      reseal ~from:"slot 1 1 0 8 0 8" ~into:"slot 0 1 0 8 0 8";
+      expect_failure "two slot records for one slot";
+      reseal ~from:"slot 1 1 0 8 0 8" ~into:"slot 1 -1 0 8 0 8";
+      expect_failure "negative external id";
+      Fsio.write_atomic ~path:ckpt original;
+      let r2 = Service.resume cfg source in
+      Alcotest.(check int) "fixture resumes to drain" 3
+        r2.metrics.Service.completed)
 
 let test_bounded_memory_counters () =
   (* An overloaded drop run never exceeds its configured capacities even
