@@ -3,7 +3,6 @@ module B = Gripps_numeric.Bigint
 module Vec = Gripps_collections.Vec
 module ZFlow = Gripps_flow.Maxflow.Make (Gripps_numeric.Bigint_field)
 module ZMcmf = Gripps_flow.Mcmf.Make (Gripps_numeric.Bigint_field)
-module FFlow = Gripps_flow.Maxflow.Make (Gripps_numeric.Field.Float)
 
 type job_spec = {
   jid : int;
@@ -444,70 +443,159 @@ let feasible_norm n ~f =
     B.equal (probe b) b.total_scaled
   end
 
-(* Fast approximate feasibility in doubles, used only to pre-locate the
+(* ------------------------------------------------------------------ *)
+(* Float probes.  Both pipelines decide System (1) in doubles: the      *)
+(* float pipeline throughout, the exact one to pre-locate its milestone *)
+(* bracket.  Each solve owns one workspace for all its probes; none is  *)
+(* global, because parallel sweeps solve on several domains at once.    *)
+(* ------------------------------------------------------------------ *)
+
+module FMax = Gripps_flow.Float_maxflow
+
+type fnorm = {
+  fnow : float;
+  frelease : float array;   (* original release dates *)
+  fwstart : float array;    (* max (now, release) *)
+  fsize : float array;
+  frem : float array;
+  fmach : int list array;   (* internal machine indices *)
+  fspeed : float array;
+  fjid : int array;
+  fmid : int array;
+  ftotal : float;
+}
+
+let fnormalize n =
+  let njobs = Array.length n.jobs in
+  { fnow = Q.to_float n.now;
+    frelease = Array.map (fun j -> Q.to_float j.release) n.jobs;
+    fwstart = Array.map (fun j -> Q.to_float (window_start n j)) n.jobs;
+    fsize = Array.map (fun j -> Q.to_float j.size) n.jobs;
+    frem = Array.map (fun j -> Q.to_float j.remaining) n.jobs;
+    fmach =
+      Array.map
+        (fun (j : job_spec) -> List.map (Hashtbl.find n.machine_index) j.machines)
+        n.jobs;
+    fspeed = Array.map (fun m -> Q.to_float m.speed) n.machines;
+    fjid = Array.map (fun j -> j.jid) n.jobs;
+    fmid = Array.map (fun m -> m.mid) n.machines;
+    ftotal =
+      (let t = ref 0.0 in
+       for ji = 0 to njobs - 1 do t := !t +. Q.to_float n.jobs.(ji).remaining done;
+       !t) }
+
+type fwork = {
+  g : FMax.t;
+  mutable pts : float array;  (* pts.(0 .. npts-1): the interval bounds *)
+  mutable npts : int;
+  mutable used : bool array;  (* per (interval, machine) cell: has a job edge *)
+}
+
+let fwork () = { g = FMax.create ~n:2; pts = [||]; npts = 0; used = [||] }
+
+(* Interval structure at objective [f]: the time points from now on,
+   sorted and distinct, into [ws.pts]. *)
+let fpoints ws fn ~f =
+  let njobs = Array.length fn.frem in
+  if Array.length ws.pts < 1 + (2 * njobs) then ws.pts <- Array.make (1 + (2 * njobs)) 0.0;
+  let pts = ws.pts in
+  let k = ref 0 in
+  let insert t =
+    if t >= fn.fnow then begin
+      let i = ref !k in
+      while !i > 0 && pts.(!i - 1) > t do decr i done;
+      if !i = 0 || pts.(!i - 1) <> t then begin
+        Array.blit pts !i pts (!i + 1) (!k - !i);
+        pts.(!i) <- t;
+        incr k
+      end
+    end
+  in
+  insert fn.fnow;
+  Array.iter insert fn.fwstart;
+  for ji = 0 to njobs - 1 do
+    insert (fn.frelease.(ji) +. (f *. fn.fsize.(ji)))
+  done;
+  ws.npts <- !k
+
+(* Max-flow feasibility graph at [f] into [ws.g]; the source edge of job
+   [ji] is handle [2 * ji].  [on_job_edge ji t mi e] sees each job ->
+   cell edge. *)
+let fbuild ?(on_job_edge = fun _ _ _ _ -> ()) ws fn ~f =
+  let njobs = Array.length fn.frem and nmach = Array.length fn.fspeed in
+  fpoints ws fn ~f;
+  let pts = ws.pts and g = ws.g in
+  let nints = max 0 (ws.npts - 1) in
+  FMax.reset g ~n:(2 + njobs + (nints * nmach));
+  for ji = 0 to njobs - 1 do
+    ignore (FMax.add_edge g ~src:source ~dst:(job_node ji) ~cap:fn.frem.(ji))
+  done;
+  if Array.length ws.used < nints * nmach then ws.used <- Array.make (nints * nmach) false
+  else Array.fill ws.used 0 (nints * nmach) false;
+  for ji = 0 to njobs - 1 do
+    let dl = fn.frelease.(ji) +. (f *. fn.fsize.(ji)) in
+    for t = 0 to nints - 1 do
+      if pts.(t) >= fn.fwstart.(ji) -. 1e-12 && pts.(t + 1) <= dl +. 1e-12 then
+        List.iter
+          (fun mi ->
+            ws.used.((t * nmach) + mi) <- true;
+            on_job_edge ji t mi
+              (FMax.add_edge g ~src:(job_node ji) ~dst:(cell_node ~njobs ~nmach t mi)
+                 ~cap:fn.frem.(ji)))
+          fn.fmach.(ji)
+    done
+  done;
+  for t = 0 to nints - 1 do
+    let len = pts.(t + 1) -. pts.(t) in
+    for mi = 0 to nmach - 1 do
+      if ws.used.((t * nmach) + mi) then
+        ignore
+          (FMax.add_edge g ~src:(cell_node ~njobs ~nmach t mi) ~dst:sink
+             ~cap:(len *. fn.fspeed.(mi)))
+    done
+  done
+
+let journal_probe ~f ok =
+  if Obs.Journal.on () then
+    Obs.Journal.record
+      (Obs.Journal.Probe { pipeline = "float"; stretch = f; feasible = ok })
+
+(* Aggregate feasibility, used only to pre-locate the exact pipeline's
    milestone bracket; bracket endpoints are re-verified exactly, so a
    wrong answer here costs time, never correctness. *)
-let feasible_float n ~f =
+let feasible_float ws n ~f =
   Obs.Counter.incr float_probe_count;
-  let njobs = Array.length n.jobs and nmach = Array.length n.machines in
-  if njobs = 0 then true
+  if Array.length n.jobs = 0 then true
   else begin
-    let now = Q.to_float n.now in
-    let release = Array.map (fun j -> Q.to_float (window_start n j)) n.jobs in
-    let deadline =
-      Array.map (fun j -> Q.to_float j.release +. (f *. Q.to_float j.size)) n.jobs
-    in
-    let points =
-      Array.to_list release @ Array.to_list deadline @ [ now ]
-      |> List.filter (fun t -> t >= now)
-      |> List.sort_uniq Float.compare
-      |> Array.of_list
-    in
-    let nints = Array.length points - 1 in
-    let g = FFlow.create ~n:(2 + njobs + (nints * nmach)) in
-    let total = ref 0.0 in
-    Array.iteri
-      (fun ji j ->
-        let rem = Q.to_float j.remaining in
-        total := !total +. rem;
-        ignore (FFlow.add_edge g ~src:source ~dst:(job_node ji) ~cap:rem))
-      n.jobs;
-    let cell_used = Array.make (max 1 (nints * nmach)) false in
-    Array.iteri
-      (fun ji j ->
-        let rem = Q.to_float j.remaining in
-        for t = 0 to nints - 1 do
-          if
-            points.(t) >= release.(ji) -. 1e-12
-            && points.(t + 1) <= deadline.(ji) +. 1e-12
-          then
-            List.iter
-              (fun mid ->
-                let mi = Hashtbl.find n.machine_index mid in
-                cell_used.((t * nmach) + mi) <- true;
-                ignore
-                  (FFlow.add_edge g ~src:(job_node ji)
-                     ~dst:(cell_node ~njobs ~nmach t mi) ~cap:rem))
-              j.machines
-        done)
-      n.jobs;
-    for t = 0 to nints - 1 do
-      let len = points.(t + 1) -. points.(t) in
-      Array.iteri
-        (fun mi m ->
-          if cell_used.((t * nmach) + mi) then
-            ignore
-              (FFlow.add_edge g ~src:(cell_node ~njobs ~nmach t mi) ~dst:sink
-                 ~cap:(len *. Q.to_float m.speed)))
-        n.machines
-    done;
-    let flow = FFlow.max_flow g ~source ~sink in
-    let ok = flow >= !total *. (1.0 -. 1e-9) in
-    if Obs.Journal.on () then
-      Obs.Journal.record
-        (Obs.Journal.Probe { pipeline = "float"; stretch = f; feasible = ok });
+    let fn = fnormalize n in
+    fbuild ws fn ~f;
+    let ok = FMax.max_flow ws.g ~source ~sink >= fn.ftotal *. (1.0 -. 1e-9) in
+    journal_probe ~f ok;
     ok
   end
+
+(* The float pipeline's probe.  Feasibility must hold per job, not just in
+   aggregate: with a tolerance relative to the total work, the entire
+   (microscopic) remaining work of a nearly-finished job could be
+   "forgiven", its deadline would stop pushing the objective, and the job
+   would starve until the plan drains. *)
+let ffeasible ws fn ~f =
+  Obs.Counter.incr float_probe_count;
+  let njobs = Array.length fn.frem in
+  let ok =
+    njobs = 0
+    || begin
+      fbuild ws fn ~f;
+      ignore (FMax.max_flow ws.g ~source ~sink);
+      let ji = ref 0 in
+      while !ji < njobs && FMax.flow_on ws.g (2 * !ji) >= fn.frem.(!ji) *. (1.0 -. 1e-9) do
+        incr ji
+      done;
+      !ji = njobs
+    end
+  in
+  journal_probe ~f ok;
+  ok
 
 (* Milestones: positive F where a deadline crosses another deadline, a
    release date, or the current date. *)
@@ -608,13 +696,14 @@ let find_optimum ?(floor = Q.zero) ~tick n =
   let len = Array.length ms in
   (* Locate the first feasible milestone with the float fast path; the
      exact loop below repairs any misjudgment. *)
+  let ws = fwork () in
   let lo = ref 0 and hi = ref len in
   tick ();
-  if not (feasible_float n ~f:(Q.to_float f_base)) then begin
+  if not (feasible_float ws n ~f:(Q.to_float f_base)) then begin
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       tick ();
-      if feasible_float n ~f:(Q.to_float ms.(mid)) then hi := mid else lo := mid + 1
+      if feasible_float ws n ~f:(Q.to_float ms.(mid)) then hi := mid else lo := mid + 1
     done
   end;
   let cache = ref None in
@@ -731,108 +820,6 @@ let solve ?(budget = default_budget) ?(floor = Q.zero) ?(refine = false) p =
    augmentations is bounded by the total quantized demand. *)
 module IMcmf = Gripps_flow.Mcmf.Make (Gripps_numeric.Field.Int)
 
-type fnorm = {
-  fnow : float;
-  frelease : float array;   (* original release dates *)
-  fwstart : float array;    (* max (now, release) *)
-  fsize : float array;
-  frem : float array;
-  fmach : int list array;   (* internal machine indices *)
-  fspeed : float array;
-  fjid : int array;
-  fmid : int array;
-  ftotal : float;
-}
-
-let fnormalize n =
-  let njobs = Array.length n.jobs in
-  { fnow = Q.to_float n.now;
-    frelease = Array.map (fun j -> Q.to_float j.release) n.jobs;
-    fwstart = Array.map (fun j -> Q.to_float (window_start n j)) n.jobs;
-    fsize = Array.map (fun j -> Q.to_float j.size) n.jobs;
-    frem = Array.map (fun j -> Q.to_float j.remaining) n.jobs;
-    fmach =
-      Array.map
-        (fun (j : job_spec) -> List.map (Hashtbl.find n.machine_index) j.machines)
-        n.jobs;
-    fspeed = Array.map (fun m -> Q.to_float m.speed) n.machines;
-    fjid = Array.map (fun j -> j.jid) n.jobs;
-    fmid = Array.map (fun m -> m.mid) n.machines;
-    ftotal =
-      (let t = ref 0.0 in
-       for ji = 0 to njobs - 1 do t := !t +. Q.to_float n.jobs.(ji).remaining done;
-       !t) }
-
-(* Interval structure at objective [f]: sorted time points from now on. *)
-let fpoints fn ~f =
-  let deadline ji = fn.frelease.(ji) +. (f *. fn.fsize.(ji)) in
-  (fn.fnow :: Array.to_list fn.fwstart)
-  @ List.init (Array.length fn.frem) deadline
-  |> List.filter (fun t -> t >= fn.fnow)
-  |> List.sort_uniq Float.compare
-  |> Array.of_list
-
-(* Max-flow feasibility graph at [f]; returns
-   (graph, points, job_edges, source_edges). *)
-let fbuild fn ~f =
-  let njobs = Array.length fn.frem and nmach = Array.length fn.fspeed in
-  let points = fpoints fn ~f in
-  let nints = max 0 (Array.length points - 1) in
-  let g = FFlow.create ~n:(2 + njobs + (nints * nmach)) in
-  let src_edges =
-    Array.init njobs (fun ji ->
-        FFlow.add_edge g ~src:source ~dst:(job_node ji) ~cap:fn.frem.(ji))
-  in
-  let cell_used = Array.make (max 1 (nints * nmach)) false in
-  let job_edges = ref [] in
-  for ji = 0 to njobs - 1 do
-    let dl = fn.frelease.(ji) +. (f *. fn.fsize.(ji)) in
-    for t = 0 to nints - 1 do
-      if points.(t) >= fn.fwstart.(ji) -. 1e-12 && points.(t + 1) <= dl +. 1e-12 then
-        List.iter
-          (fun mi ->
-            cell_used.((t * nmach) + mi) <- true;
-            let e =
-              FFlow.add_edge g ~src:(job_node ji) ~dst:(cell_node ~njobs ~nmach t mi)
-                ~cap:fn.frem.(ji)
-            in
-            job_edges := (ji, t, mi, e) :: !job_edges)
-          fn.fmach.(ji)
-    done
-  done;
-  for t = 0 to nints - 1 do
-    let len = points.(t + 1) -. points.(t) in
-    for mi = 0 to nmach - 1 do
-      if cell_used.((t * nmach) + mi) then
-        ignore
-          (FFlow.add_edge g ~src:(cell_node ~njobs ~nmach t mi) ~dst:sink
-             ~cap:(len *. fn.fspeed.(mi)))
-    done
-  done;
-  (g, points, !job_edges, src_edges)
-
-(* Feasibility must hold per job, not just in aggregate: with a tolerance
-   relative to the total work, the entire (microscopic) remaining work of
-   a nearly-finished job could be "forgiven", its deadline would stop
-   pushing the objective, and the job would starve until the plan drains. *)
-let ffeasible fn ~f =
-  Obs.Counter.incr float_probe_count;
-  let ok =
-    if Array.length fn.frem = 0 then true
-    else begin
-      let g, _, _, src_edges = fbuild fn ~f in
-      ignore (FFlow.max_flow g ~source ~sink);
-      Array.for_all
-        (fun ji ->
-          FFlow.flow_on g src_edges.(ji) >= fn.frem.(ji) *. (1.0 -. 1e-9))
-        (Array.init (Array.length fn.frem) Fun.id)
-    end
-  in
-  if Obs.Journal.on () then
-    Obs.Journal.record
-      (Obs.Journal.Probe { pipeline = "float"; stretch = f; feasible = ok });
-  ok
-
 let fmilestones fn =
   let njobs = Array.length fn.frem in
   let cands = ref [] in
@@ -854,7 +841,7 @@ let fmilestones fn =
   done;
   List.sort_uniq Float.compare !cands
 
-let optimal_float ?(floor = 0.0) ~tick fn =
+let optimal_float ?(floor = 0.0) ~tick ws fn =
   if Array.length fn.frem = 0 then floor
   else begin
     let f_base =
@@ -863,7 +850,7 @@ let optimal_float ?(floor = 0.0) ~tick fn =
       |> List.fold_left Float.max floor
     in
     tick ();
-    if ffeasible fn ~f:f_base then f_base
+    if ffeasible ws fn ~f:f_base then f_base
     else begin
       let ms = Array.of_list (List.filter (fun m -> m > f_base) (fmilestones fn)) in
       let len = Array.length ms in
@@ -871,7 +858,7 @@ let optimal_float ?(floor = 0.0) ~tick fn =
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
         tick ();
-        if ffeasible fn ~f:ms.(mid) then hi := mid else lo := mid + 1
+        if ffeasible ws fn ~f:ms.(mid) then hi := mid else lo := mid + 1
       done;
       let f_lo = ref (if !lo = 0 then f_base else ms.(!lo - 1)) in
       let f_hi =
@@ -882,7 +869,7 @@ let optimal_float ?(floor = 0.0) ~tick fn =
                 The tick also bounds this loop, which could otherwise spin
                 forever on a degenerate problem. *)
              let h = ref (Float.max 1e-9 (2.0 *. Float.max f_base 1e-9)) in
-             while (tick (); not (ffeasible fn ~f:!h)) do h := !h *. 2.0 done;
+             while (tick (); not (ffeasible ws fn ~f:!h)) do h := !h *. 2.0 done;
              !h
            end)
       in
@@ -891,7 +878,7 @@ let optimal_float ?(floor = 0.0) ~tick fn =
         let mid = 0.5 *. (!f_lo +. !f_hi) in
         if mid > !f_lo && mid < !f_hi then begin
           tick ();
-          if ffeasible fn ~f:mid then f_hi := mid else f_lo := mid
+          if ffeasible ws fn ~f:mid then f_hi := mid else f_lo := mid
         end
       done;
       !f_hi
@@ -901,7 +888,7 @@ let optimal_float ?(floor = 0.0) ~tick fn =
 let optimal_max_stretch_float ?(budget = default_budget) ?floor p =
   Obs.Span.with_ "solver.float" (fun () ->
       let n = normalize p in
-      optimal_float ?floor ~tick:(make_ticker budget "float") (fnormalize n))
+      optimal_float ?floor ~tick:(make_ticker budget "float") (fwork ()) (fnormalize n))
 
 let solve_float ?(budget = default_budget) ?(floor = 0.0) ?(refine = false) p =
   Obs.Span.with_ "solver.float" @@ fun () ->
@@ -911,28 +898,31 @@ let solve_float ?(budget = default_budget) ?(floor = 0.0) ?(refine = false) p =
   if njobs = 0 then
     { s_star = Q.of_float floor; intervals = [||]; work = [] }
   else begin
-    let s_star = optimal_float ~floor ~tick:(make_ticker budget "float") fn in
+    let ws = fwork () in
+    let s_star = optimal_float ~floor ~tick:(make_ticker budget "float") ws fn in
     let nmach = Array.length fn.fspeed in
     let work =
       if not refine then begin
-        let g, points, job_edges, _src_edges = fbuild fn ~f:s_star in
-        ignore (FFlow.max_flow g ~source ~sink);
-        ignore points;
+        let job_edges = ref [] in
+        fbuild ws fn ~f:s_star ~on_job_edge:(fun ji t mi e ->
+            job_edges := (ji, t, mi, e) :: !job_edges);
+        ignore (FMax.max_flow ws.g ~source ~sink);
         List.filter_map
           (fun (ji, t, mi, e) ->
-            let w = FFlow.flow_on g e in
+            let w = FMax.flow_on ws.g e in
             if w > 1e-12 then
               Some (fn.fjid.(ji), t, fn.fmid.(mi), Q.of_float w)
             else None)
-          job_edges
+          !job_edges
       end
       else begin
         (* System (2), quantized: capacities on a 2^36 grid relative to
            the total demand, costs on a 2^20 grid relative to the largest
            cost.  Quantization error is ~1e-11 of each job's work and is
            absorbed by the snap-to-demand step below. *)
-        let points = fpoints fn ~f:s_star in
-        let nints = max 0 (Array.length points - 1) in
+        fpoints ws fn ~f:s_star;
+        let points = ws.pts in
+        let nints = max 0 (ws.npts - 1) in
         let cap_unit = fn.ftotal /. 68719476736.0 (* 2^36 *) in
         let zcap c = int_of_float (c /. cap_unit) in
         let max_cost =
@@ -1015,11 +1005,11 @@ let solve_float ?(budget = default_budget) ?(floor = 0.0) ?(refine = false) p =
           else (jid, t, mid, w))
         work
     in
-    let points = fpoints fn ~f:s_star in
+    fpoints ws fn ~f:s_star;
     let intervals =
       Array.init
-        (max 0 (Array.length points - 1))
-        (fun t -> { lo = Q.of_float points.(t); hi = Q.of_float points.(t + 1) })
+        (max 0 (ws.npts - 1))
+        (fun t -> { lo = Q.of_float ws.pts.(t); hi = Q.of_float ws.pts.(t + 1) })
     in
     { s_star = Q.of_float s_star; intervals; work }
   end

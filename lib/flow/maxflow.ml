@@ -7,9 +7,10 @@
    [max_flow ~warm:true] to resume augmenting from the previous flow
    instead of re-running Dinic from zero. *)
 
-(* Fleet-wide augmentation counter (all field instantiations, all graphs):
-   the per-graph [augmentations] below drives warm-start accounting, this
-   one feeds the shared observability registry. *)
+(* Fleet-wide augmentation counter (all field instantiations and
+   [Float_maxflow], all graphs): the per-graph [augmentations] below
+   drives warm-start accounting, this one feeds the shared observability
+   registry. *)
 let c_augmentations = Gripps_obs.Obs.Counter.make "flow.augmentations"
 
 module Make (F : Gripps_numeric.Field.ORDERED_FIELD) = struct

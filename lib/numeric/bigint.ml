@@ -324,8 +324,48 @@ let ediv_rem a b =
   else if b.sign > 0 then (pred q, add r b)
   else (succ q, sub r b)
 
-let rec gcd_pos a b = if is_zero b then a else gcd_pos b (rem a b)
-let gcd a b = gcd_pos (abs a) (abs b)
+(* Trailing zero bits of a non-zero magnitude. *)
+let trailing_zeros mag =
+  let i = ref 0 in
+  while mag.(!i) = 0 do incr i done;
+  let k = ref 0 in
+  while (mag.(!i) lsr !k) land 1 = 0 do incr k done;
+  (!i * base_bits) + !k
+
+let pow2 k =
+  let mag = Array.make ((k / base_bits) + 1) 0 in
+  mag.(k / base_bits) <- 1 lsl (k mod base_bits);
+  { sign = 1; mag }
+
+(* Value of a magnitude of at most two limbs. *)
+let two_limbs mag =
+  match Array.length mag with
+  | 0 -> 0
+  | 1 -> mag.(0)
+  | _ -> mag.(0) lor (mag.(1) lsl base_bits)
+
+let rec gcd_native a b = if b = 0 then a else gcd_native b (a mod b)
+
+(* Euclid on non-negative values, finished on native ints once both fit
+   in two limbs. *)
+let rec euclid a b =
+  if Array.length a.mag <= 2 && Array.length b.mag <= 2 then
+    of_small_pos (gcd_native (two_limbs a.mag) (two_limbs b.mag))
+  else if b.sign = 0 then a
+  else euclid b (rem a b)
+
+(* gcd (2^i a', 2^j b') = 2^min(i,j) gcd (a', b') for odd a', b'.  Every
+   denominator of a rational read from a double is a power of two, so an
+   odd part is often 1 and the answer is the power of two alone. *)
+let gcd a b =
+  if a.sign = 0 then abs b
+  else if b.sign = 0 then abs a
+  else begin
+    let za = trailing_zeros a.mag and zb = trailing_zeros b.mag in
+    let z = Stdlib.min za zb in
+    if numbits a = za + 1 || numbits b = zb + 1 then pow2 z
+    else shift_left (euclid (shift_right (abs a) za) (shift_right (abs b) zb)) z
+  end
 
 let pow b e =
   if e < 0 then invalid_arg "Bigint.pow: negative exponent";

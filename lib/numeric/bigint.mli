@@ -31,8 +31,12 @@ val of_string : string -> t
 val to_string : t -> string
 
 val to_float : t -> float
-(** Nearest-double conversion; values beyond the double range map to
-    infinities. *)
+(** Truncate, then round: a value of more than 62 bits is cut to its top
+    62 bits, which are rounded to the nearest double and scaled back.
+    The result is within one ulp of the value but not always the
+    nearest double: [to_float (2^62 + 2^9 + 1)] is [0x1p+62], not
+    [0x1.0000000000001p+62].  Values of at most 62 bits convert to the
+    nearest double; values beyond the double range map to infinities. *)
 
 val pp : Format.formatter -> t -> unit
 

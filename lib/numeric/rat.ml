@@ -274,9 +274,22 @@ let to_float = function
     (* Scale so both operands fit comfortably in a double. *)
     let bn = Bigint.numbits n and bd = Bigint.numbits d in
     let shift = Stdlib.max 0 (Stdlib.min bn bd - 62) in
-    let nf = Bigint.to_float (Bigint.shift_right n shift) in
-    let df = Bigint.to_float (Bigint.shift_right d shift) in
-    nf /. df
+    if bn - shift > 1024 || bd - shift > 1024 then begin
+      (* One side would still convert to infinity (a tiny or huge
+         value): bring each to 62 bits and put the exponent back
+         afterwards. *)
+      let top62 x bx =
+        Bigint.to_float
+          (if bx > 62 then Bigint.shift_right x (bx - 62)
+           else Bigint.shift_left x (62 - bx))
+      in
+      ldexp (top62 n bn /. top62 d bd) (bn - bd)
+    end
+    else begin
+      let nf = Bigint.to_float (Bigint.shift_right n shift) in
+      let df = Bigint.to_float (Bigint.shift_right d shift) in
+      nf /. df
+    end
 
 let to_string = function
   | S (n, 1) -> string_of_int n

@@ -108,7 +108,15 @@ let test_to_float () =
   Alcotest.(check (float 0.0)) "to_float small" 12345.0 (B.to_float (b 12345));
   Alcotest.(check (float 1e-9)) "to_float 2^80 relative" 1.0
     (B.to_float (B.pow B.two 80) /. 1.2089258196146292e24);
-  Alcotest.(check (float 0.0)) "to_float neg" (-42.0) (B.to_float (b (-42)))
+  Alcotest.(check (float 0.0)) "to_float neg" (-42.0) (B.to_float (b (-42)));
+  (* Truncate to 62 bits, then round: 2^62 + 2^9 + 1 loses its last bit
+     and then ties to even, while the nearest double is 2^62 + 2^10.  Do
+     not "fix" this: Rat.to_float goes through it for every large value,
+     and a correctly rounded conversion would move the bits of every
+     float the solvers derive from such values. *)
+  Alcotest.(check int64) "to_float truncates before rounding"
+    (Int64.bits_of_float 0x1p62)
+    (Int64.bits_of_float (B.to_float (B.add (B.shift_left B.one 62) (b 513))))
 
 (* qcheck properties: small ints behave exactly like native ints. *)
 let small_int = QCheck2.Gen.int_range (-1_000_000_000) 1_000_000_000
@@ -165,6 +173,40 @@ let prop_gcd_divides =
       && B.is_zero (B.rem a g)
       && B.is_zero (B.rem bb g))
 
+(* gcd against a reference Euclid over [B.rem], on operands x*2^i and
+   y*2^j that share long runs of factors of two, across limb boundaries:
+   decimal strings almost never do, so [prop_gcd_divides] cannot see how
+   the common power of two is put back. *)
+let rec ref_gcd a c = if B.is_zero c then B.abs a else ref_gcd c (B.rem a c)
+
+let shifted_gen =
+  QCheck2.Gen.(
+    let limb = int_range 0 ((1 lsl 30) - 1) in
+    (* zero, small values (odd part often 1), or one to seven limbs *)
+    let* x =
+      frequency
+        [ (1, return B.zero);
+          (2, map b (int_range 1 16));
+          (5,
+           let* top = int_range 1 ((1 lsl 30) - 1) in
+           let* ls = list_size (int_range 0 6) limb in
+           return (List.fold_left (fun acc l -> B.add (B.shift_left acc 30) (b l)) (b top) ls)) ]
+    in
+    let* i = int_range 0 200 in
+    let* neg = bool in
+    let x = B.shift_left x i in
+    return (if neg then B.neg x else x))
+
+let prop_gcd_matches_reference =
+  QCheck2.Test.make ~name:"gcd equals a reference Euclid" ~count:500
+    ~print:(fun (x, y) -> B.to_string x ^ ", " ^ B.to_string y)
+    QCheck2.Gen.(pair shifted_gen shifted_gen)
+    (fun (x, y) ->
+      let g = B.gcd x y in
+      B.equal g (ref_gcd x y)
+      && B.equal g (B.gcd y x)
+      && (B.is_zero g || B.equal (ref_gcd (B.div x g) (B.div y g)) B.one))
+
 let prop_mul_commutative_assoc =
   QCheck2.Test.make ~name:"mul commutative and associative (large)" ~count:200
     QCheck2.Gen.(triple digits_gen digits_gen digits_gen)
@@ -193,7 +235,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_ring_matches_native; prop_divmod_matches_native; prop_string_roundtrip;
       prop_divmod_reconstruct; prop_gcd_divides; prop_mul_commutative_assoc;
-      prop_shift_is_pow2; prop_compare_total_order ]
+      prop_shift_is_pow2; prop_compare_total_order; prop_gcd_matches_reference ]
 
 let suite =
   ( "bigint",

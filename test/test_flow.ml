@@ -394,6 +394,118 @@ let test_warm_update_decrease_reroutes () =
   Alcotest.(check int) "saturated warm rerun augments nothing" before
     (QMax.augmentations g)
 
+(* ---- flat float kernel vs the functor at Field.Float ------------------
+
+   [Float_maxflow] must return the bits [FMax] returns on the same edge
+   list: the total and every edge's flow are compared with
+   [Int64.bits_of_float], and the [flow.augmentations] counter must grow
+   by the functor's augmentation count.  Capacities mix exact ties,
+   zeros and values at or below the 1e-9 threshold.  One workspace is
+   reused across the graphs of a case, whose sizes differ, so a stale
+   [reset] shows. *)
+
+module Flat = Gripps_flow.Float_maxflow
+
+type kgraph = { kn : int; ksrc : int; ksink : int; kedges : (int * int * float) list }
+
+let kcap_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (1, return 0.0);
+        (1, oneofl [ 1e-9; 5e-10; 1e-12; 1.5e-9 ]);
+        (3, map (fun i -> float_of_int i /. 4.0) (int_range 1 12));
+        (3, float_range 0.0 10.0) ])
+
+(* Shaped like the solver's feasibility graphs: source 0 -> jobs, each
+   job -> some (interval, machine) cells with its demand as capacity,
+   cells -> sink 1. *)
+let layered_gen =
+  QCheck2.Gen.(
+    let* njobs = int_range 1 5 in
+    let* ncells = int_range 1 6 in
+    let* rems = list_size (return njobs) kcap_gen in
+    let* links = list_size (return njobs) (list_size (return ncells) bool) in
+    let* cells = list_size (return ncells) kcap_gen in
+    let job ji = 2 + ji and cell c = 2 + njobs + c in
+    let src = List.mapi (fun ji r -> (0, job ji, r)) rems in
+    let mid =
+      List.concat
+        (List.map2
+           (fun (ji, r) ls ->
+             List.concat (List.mapi (fun c l -> if l then [ (job ji, cell c, r) ] else []) ls))
+           (List.mapi (fun ji r -> (ji, r)) rems) links)
+    in
+    let out = List.mapi (fun c cap -> (cell c, 1, cap)) cells in
+    return { kn = 2 + njobs + ncells; ksrc = 0; ksink = 1; kedges = src @ mid @ out })
+
+(* Any digraph: cycles, antiparallel pairs and self-loops. *)
+let general_gen =
+  QCheck2.Gen.(
+    let* n = int_range 2 9 in
+    let* edges =
+      list_size (int_range 1 24)
+        (let* u = int_range 0 (n - 1) in
+         let* v = int_range 0 (n - 1) in
+         let* c = kcap_gen in
+         let* back = frequency [ (2, return None); (1, map Option.some kcap_gen) ] in
+         return ((u, v, c) :: Option.fold ~none:[] ~some:(fun c' -> [ (v, u, c') ]) back))
+    in
+    return { kn = n; ksrc = 0; ksink = n - 1; kedges = List.concat edges })
+
+let print_kgraphs gs =
+  String.concat " | "
+    (List.map
+       (fun k ->
+         Printf.sprintf "n=%d %d->%d: %s" k.kn k.ksrc k.ksink
+           (String.concat " "
+              (List.map (fun (u, v, c) -> Printf.sprintf "%d>%d:%h" u v c) k.kedges)))
+       gs)
+
+let augmentations () =
+  Option.value ~default:0 (Gripps_obs.Obs.counter_value "flow.augmentations")
+
+let prop_flat_kernel_matches_functor =
+  QCheck2.Test.make ~name:"flat float max-flow equals the functor bit for bit"
+    ~count:400 ~print:print_kgraphs
+    QCheck2.Gen.(list_size (int_range 1 4) (oneof [ layered_gen; general_gen ]))
+    (fun graphs ->
+      let ws = Flat.create ~n:2 in
+      let bits = Int64.bits_of_float in
+      List.for_all
+        (fun k ->
+          let g = FMax.create ~n:k.kn in
+          Flat.reset ws ~n:k.kn;
+          let handles =
+            List.map
+              (fun (u, v, c) ->
+                (FMax.add_edge g ~src:u ~dst:v ~cap:c, Flat.add_edge ws ~src:u ~dst:v ~cap:c))
+              k.kedges
+          in
+          let expected = FMax.max_flow g ~source:k.ksrc ~sink:k.ksink in
+          let before = augmentations () in
+          let got = Flat.max_flow ws ~source:k.ksrc ~sink:k.ksink in
+          bits got = bits expected
+          && augmentations () - before = FMax.augmentations g
+          && List.for_all
+               (fun (h, h') -> h = h' && bits (Flat.flow_on ws h') = bits (FMax.flow_on g h))
+               handles)
+        graphs)
+
+let test_flat_kernel_argument_errors () =
+  let g = Flat.create ~n:3 in
+  check_invalid "src out of range" "src vertex 3 out of range [0, 3)" (fun () ->
+      Flat.add_edge g ~src:3 ~dst:1 ~cap:1.0);
+  check_invalid "dst out of range" "dst vertex -1 out of range [0, 3)" (fun () ->
+      Flat.add_edge g ~src:0 ~dst:(-1) ~cap:1.0);
+  check_invalid "negative capacity" "negative capacity" (fun () ->
+      Flat.add_edge g ~src:0 ~dst:1 ~cap:(-1e-8));
+  ignore (Flat.add_edge g ~src:0 ~dst:1 ~cap:(-1e-9));
+  Flat.reset g ~n:2;
+  check_invalid "vertex past a shrinking reset" "dst vertex 2 out of range [0, 2)"
+    (fun () -> Flat.add_edge g ~src:0 ~dst:2 ~cap:1.0);
+  check_invalid "source = sink" "source = sink" (fun () ->
+      Flat.max_flow g ~source:1 ~sink:1)
+
 let suite =
   ( fst suite,
     snd suite
@@ -404,4 +516,7 @@ let suite =
           test_maxflow_argument_errors;
         Alcotest.test_case "warm update reroutes a shrunk edge" `Quick
           test_warm_update_decrease_reroutes;
-        QCheck_alcotest.to_alcotest prop_warm_equals_cold ] )
+        QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+        QCheck_alcotest.to_alcotest prop_flat_kernel_matches_functor;
+        Alcotest.test_case "flat kernel argument validation" `Quick
+          test_flat_kernel_argument_errors ] )

@@ -59,9 +59,31 @@ let test_of_string () =
 
 let float_gen = QCheck2.Gen.float_range (-1e6) 1e6
 
+(* The whole finite range: uniform bit patterns (mostly very large or
+   very small magnitudes), subnormals, the extremes and +-1e+-300, beside
+   the everyday [-1e6, 1e6].  Values past about 2^970 either way have a
+   component of more than 1024 bits. *)
+let finite_float_gen =
+  QCheck2.Gen.(
+    let finite f = if Float.is_finite f then f else Float.copy_sign max_float f in
+    let subnormal =
+      let* m = int_range 1 ((1 lsl 52) - 1) in
+      let* neg = bool in
+      let f = Int64.float_of_bits (Int64.of_int m) in
+      return (if neg then -.f else f)
+    in
+    frequency
+      [ (2, float_gen);
+        (3, map (fun b -> finite (Int64.float_of_bits b)) int64);
+        (2, subnormal);
+        (1, oneofl
+              [ 4.9e-324; -4.9e-324; 1e-310; 2.2250738585072009e-308; min_float;
+                1e-300; -1e-300; 1e300; -1e300; max_float; -.max_float ]) ])
+
 let prop_of_float_roundtrip =
-  QCheck2.Test.make ~name:"of_float/to_float exact round-trip" ~count:500 float_gen
-    (fun f -> Q.to_float (Q.of_float f) = f)
+  QCheck2.Test.make ~name:"of_float/to_float exact round-trip" ~count:1000
+    ~print:(Printf.sprintf "%h") finite_float_gen
+    (fun f -> Int64.equal (Int64.bits_of_float (Q.to_float (Q.of_float f))) (Int64.bits_of_float f))
 
 let rat_gen =
   QCheck2.Gen.(
