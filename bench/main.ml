@@ -168,7 +168,7 @@ let fault_tests () =
            ignore (Sim.run_report_flat ~horizon:1e9 ?faults ?loss s inst)))
   in
   let swrpt = Gripps_sched.List_sched.flat_swrpt in
-  let online = Gripps_sched.Legacy_adapter.flat Gripps_core.Online_lp.online in
+  let online = Gripps_core.Online_lp.online in
   [ bench "faults:SWRPT-reliable" swrpt;
     bench "faults:SWRPT-crash" ~faults ~loss:Fault.Crash swrpt;
     bench "faults:SWRPT-pause" ~faults ~loss:Fault.Pause swrpt;

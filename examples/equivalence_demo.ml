@@ -56,14 +56,13 @@ let () =
   let rinst = Instance.make ~platform:restricted ~jobs in
   let describe name order =
     let fixed =
-      Sim.stateless name (fun st _events ->
+      Sim.flat_stateless name (fun st buf ->
           let alive =
             List.filter (fun j -> not (Sim.is_completed st j)) order
           in
-          { Sim.allocation = Gripps_sched.List_sched.allocate st ~priority_order:alive;
-            horizon = None })
+          Gripps_sched.List_sched.allocate st ~priority_order:alive buf)
     in
-    let s = Sim.run fixed rinst in
+    let s = (Sim.run_report_flat fixed rinst).Sim.schedule in
     Printf.printf "  %-24s C0 = %.2f, C1 = %.2f\n" name
       (Schedule.completion_exn s 0) (Schedule.completion_exn s 1)
   in

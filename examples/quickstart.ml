@@ -43,12 +43,14 @@ let () =
       m.Metrics.max_stretch m.Metrics.sum_stretch
   in
   show Gripps_sched.List_sched.flat_swrpt;
-  show (Gripps_sched.Legacy_adapter.flat Gripps_core.Online_lp.online);
-  show (Gripps_sched.Legacy_adapter.flat Gripps_core.Offline.scheduler);
+  show Gripps_core.Online_lp.online;
+  show Gripps_core.Offline.scheduler;
 
   (* Inspect the realized optimal schedule segment by segment, then as a
      text Gantt chart. *)
-  let optimal_schedule = Sim.run Gripps_core.Offline.scheduler inst in
+  let optimal_schedule =
+    (Sim.run_report_flat Gripps_core.Offline.scheduler inst).Sim.schedule
+  in
   Printf.printf "\nrealized optimal schedule:\n";
   Format.printf "%a@." Schedule.pp optimal_schedule;
   Printf.printf "\n%s" (Gantt.render ~width:60 optimal_schedule)

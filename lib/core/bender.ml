@@ -27,24 +27,17 @@ let min_arrived_size inst st =
     (List.init (Instance.num_jobs inst) Fun.id)
 
 let bender98 =
-  { Sim.name = "Bender98";
-    make =
+  { Sim.fname = "Bender98";
+    fmake =
       (fun inst ->
         let deadlines = Hashtbl.create 64 in
-        fun st events ->
-          if
-            List.exists
-              (fun e ->
-                match e with
-                (* Failures and recoveries don't change the hindsight
-                   problem (it ignores work performed and machine state),
-                   but they do invalidate the deadline-driven priorities'
-                   assumptions, so recompute anyway — it is cheap relative
-                   to the arrival-driven recomputation. *)
-                | Sim.Arrival _ | Sim.Failure _ | Sim.Recovery _ -> true
-                | Sim.Completion _ | Sim.Boundary -> false)
-              events
-          then begin
+        fun st buf ->
+          (* Failures and recoveries don't change the hindsight problem
+             (it ignores work performed and machine state), but they do
+             invalidate the deadline-driven priorities' assumptions, so
+             recompute anyway — it is cheap relative to the
+             arrival-driven recomputation. *)
+          if Online_lp.needs_replan st then begin
             (* Full hindsight optimum over every job released so far,
                ignoring the work actually performed — the expensive
                recomputation the paper measures in §5.3. *)
@@ -72,8 +65,7 @@ let bender98 =
             |> List.sort compare
             |> List.map snd
           in
-          { Sim.allocation = List_sched.allocate st ~priority_order:order;
-            horizon = None }) }
+          List_sched.allocate st ~priority_order:order buf) }
 
 let pseudo_stretch ~delta ~min_size ~size ~release ~now =
   let p = size /. min_size in
@@ -81,7 +73,7 @@ let pseudo_stretch ~delta ~min_size ~size ~release ~now =
   (now -. release) /. denom
 
 let bender02 =
-  Sim.stateless "Bender02" (fun st _events ->
+  Sim.flat_stateless "Bender02" (fun st buf ->
       let inst = Sim.instance st in
       let delta = arrived_delta inst st in
       let min_size = min_arrived_size inst st in
@@ -98,5 +90,4 @@ let bender02 =
         |> List.sort compare
         |> List.map snd
       in
-      { Sim.allocation = List_sched.allocate st ~priority_order:order;
-        horizon = None })
+      List_sched.allocate st ~priority_order:order buf)

@@ -16,8 +16,8 @@
 
 open Gripps_engine
 
-val bender98 : Sim.scheduler
-val bender02 : Sim.scheduler
+val bender98 : Sim.flat_scheduler
+val bender02 : Sim.flat_scheduler
 
 val pseudo_stretch :
   delta:float -> min_size:float -> size:float -> release:float -> now:float -> float

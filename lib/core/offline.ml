@@ -17,12 +17,12 @@ let solve_guarded ?(budget = Stretch_solver.default_budget) ~refine problem =
     | exception Stretch_solver.Budget_exhausted _ -> None)
 
 let make_scheduler ?budget name ~refine =
-  { Sim.name;
-    make =
+  { Sim.fname = name;
+    fmake =
       (fun inst ->
         let player = Plan_player.create () in
         let planned = ref false in
-        fun st _events ->
+        fun st buf ->
           if not !planned then begin
             planned := true;
             let snap = Snapshot.of_instance inst in
@@ -34,7 +34,7 @@ let make_scheduler ?budget name ~refine =
                       ~sizes:(Snapshot.sizes_fn inst) ~speeds:snap.Snapshot.vspeed))
             | None -> Plan_player.set_plan player []
           end;
-          Plan_player.step player st) }
+          Plan_player.step player st buf) }
 
 let scheduler = make_scheduler "Offline" ~refine:false
 let scheduler_refined = make_scheduler "Offline-Refined" ~refine:true

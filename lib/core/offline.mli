@@ -17,14 +17,14 @@ val optimal_max_stretch : ?budget:Stretch_solver.budget -> Instance.t -> Q.t
     blown (default: {!Stretch_solver.default_budget}, which well-posed
     instances never hit). *)
 
-val scheduler : Sim.scheduler
+val scheduler : Sim.flat_scheduler
 (** Simulator realization of the optimal schedule. *)
 
-val scheduler_refined : Sim.scheduler
+val scheduler_refined : Sim.flat_scheduler
 (** Variant realizing the System (2) refinement instead (an upper bound on
     what the on-line heuristics can hope for on the sum-stretch side). *)
 
-val scheduler_budgeted : Stretch_solver.budget -> Sim.scheduler
+val scheduler_budgeted : Stretch_solver.budget -> Sim.flat_scheduler
 (** [Offline] with a solver guardrail: the exact pipeline falls back to
     the float pipeline when the budget is blown, and the float pipeline
     falls back to greedy SWRPT list scheduling — the run always completes,

@@ -12,13 +12,14 @@ let c_degraded = Obs.Counter.make "online.degraded_replans"
 (* Arrivals change the pending-work problem; so do machine failures and
    recoveries (the snapshot excludes down machines, so the LP must be
    re-solved on either edge).  Completions and boundaries never do. *)
-let needs_replan events =
-  List.exists
-    (fun e ->
-      match e with
-      | Sim.Arrival _ | Sim.Failure _ | Sim.Recovery _ -> true
-      | Sim.Completion _ | Sim.Boundary -> false)
-    events
+let needs_replan st =
+  let rec go i =
+    i < Sim.Events.count st
+    && (match Sim.Events.kind st i with
+        | `Arrival | `Failure | `Recovery -> true
+        | `Completion | `Boundary -> go (i + 1))
+  in
+  go 0
 
 (* The on-line heuristics run in doubles (as the paper's implementation
    did): only the clairvoyant Offline optimum needs exact arithmetic.
@@ -50,13 +51,13 @@ let solve_state ?budget st ~refine =
 (* Online and Online-EDF: solve + realize into commitments, replayed by a
    plan player until the next arrival, failure or recovery. *)
 let playback_scheduler ?budget name ~policy ~refine =
-  { Sim.name;
-    make =
+  { Sim.fname = name;
+    fmake =
       (fun inst ->
         let player = Plan_player.create () in
         let sizes = Snapshot.sizes_fn inst in
-        fun st events ->
-          if needs_replan events then begin
+        fun st buf ->
+          if needs_replan st then begin
             match solve_state ?budget st ~refine with
             | Some (snap, a) ->
               Plan_player.set_plan player
@@ -68,7 +69,7 @@ let playback_scheduler ?budget name ~policy ~refine =
                  every machine is down). *)
               Plan_player.set_plan player []
           end;
-          Plan_player.step player st) }
+          Plan_player.step player st buf) }
 
 let online =
   playback_scheduler "Online" ~policy:Realize.Terminal_first ~refine:true
@@ -86,8 +87,8 @@ let online_budgeted budget =
 (* Online-EGDF: keep only the global completion-interval order and run the
    greedy distribution rule at every event. *)
 let online_egdf =
-  { Sim.name = "Online-EGDF";
-    make =
+  { Sim.fname = "Online-EGDF";
+    fmake =
       (fun inst ->
         let sizes = Snapshot.sizes_fn inst in
         let order = ref [] in
@@ -95,8 +96,8 @@ let online_egdf =
            [List.mem] inside a filter — O(n²) per event. *)
         let mark = Array.make (Gripps_model.Instance.num_jobs inst) 0 in
         let stamp = ref 0 in
-        fun st events ->
-          if needs_replan events then begin
+        fun st buf ->
+          if needs_replan st then begin
             match solve_state st ~refine:true with
             | Some (_snap, a) -> order := Realize.completion_order a ~sizes
             | None -> order := []
@@ -110,5 +111,4 @@ let online_egdf =
           let missing =
             List.filter (fun j -> mark.(j) <> !stamp) (Sim.active_jobs st)
           in
-          { Sim.allocation = List_sched.allocate st ~priority_order:(alive @ missing);
-            horizon = None }) }
+          List_sched.allocate st ~priority_order:(alive @ missing) buf) }

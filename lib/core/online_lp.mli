@@ -29,12 +29,17 @@
 
 open Gripps_engine
 
-val online : Sim.scheduler
-val online_edf : Sim.scheduler
-val online_egdf : Sim.scheduler
-val online_non_optimized : Sim.scheduler
+val needs_replan : Sim.state -> bool
+(** Does the pending event batch change the pending-work problem — an
+    arrival, a machine failure or a recovery?  Completions and plan
+    boundaries never do.  Shared with {!Bender.bender98}. *)
 
-val online_budgeted : Stretch_solver.budget -> Sim.scheduler
+val online : Sim.flat_scheduler
+val online_edf : Sim.flat_scheduler
+val online_egdf : Sim.flat_scheduler
+val online_non_optimized : Sim.flat_scheduler
+
+val online_budgeted : Stretch_solver.budget -> Sim.flat_scheduler
 (** [Online] with an explicit solver budget instead of
     {!Stretch_solver.default_budget}; exercises the degradation path
     (with [max_iters = 0] it behaves exactly like SWRPT). *)

@@ -9,16 +9,7 @@ let set_plan t plan = t.comms <- plan
 
 let time_eps = 1e-9
 
-let swrpt_fallback st =
-  let order =
-    Sim.active_jobs st
-    |> List.map (fun j -> (Priority.key_with_tiebreak Priority.swrpt st j, j))
-    |> List.sort compare
-    |> List.map snd
-  in
-  List_sched.allocate st ~priority_order:order
-
-let step t st =
+let step t st buf =
   let now = Sim.now st in
   (* Garbage-collect elapsed commitments. *)
   t.comms <-
@@ -26,7 +17,7 @@ let step t st =
       (fun (m, cs) ->
         (m, List.filter (fun (c : Realize.commitment) -> c.stop > now +. time_eps) cs))
       t.comms;
-  let allocation = ref [] and next_edge = ref infinity in
+  let next_edge = ref infinity in
   List.iter
     (fun (m, cs) ->
       List.iter
@@ -34,20 +25,18 @@ let step t st =
           if c.start_ <= now +. time_eps then begin
             (* Down machines keep their commitments (work resumes if they
                recover mid-window) but must not appear in the allocation. *)
-            if (not (Sim.is_completed st c.job)) && Sim.machine_up st m then
-              allocation := (m, [ (c.job, 1.0) ]) :: !allocation;
+            if (not (Sim.is_completed st c.job)) && Sim.machine_up st m then begin
+              Sim.Plan_buf.begin_machine buf m;
+              Sim.Plan_buf.push_unit_share buf ~job:c.job
+            end;
             if c.stop < !next_edge then next_edge := c.stop
           end
           else if c.start_ < !next_edge then next_edge := c.start_)
         cs)
     t.comms;
-  if !allocation = [] && !next_edge = infinity && Sim.active_jobs st <> [] then
+  if Sim.Plan_buf.is_empty buf && !next_edge = infinity && Sim.active_jobs st <> []
+  then
     (* Plan exhausted with residual work: mop up. *)
-    { Sim.allocation = swrpt_fallback st; horizon = None }
-  else begin
-    let horizon =
-      if !next_edge = infinity || !next_edge <= now +. time_eps then None
-      else Some !next_edge
-    in
-    { Sim.allocation = !allocation; horizon }
-  end
+    List_sched.resort Priority.swrpt st buf
+  else if not (!next_edge = infinity || !next_edge <= now +. time_eps) then
+    Sim.Plan_buf.set_horizon buf !next_edge

@@ -22,6 +22,8 @@ val set_plan : t -> (int * Realize.commitment list) list -> unit
 (** Replace all commitments (machine ids absent from the list become
     idle). *)
 
-val step : t -> Sim.state -> Sim.plan
-(** The allocation for the current date, with a horizon at the next
-    commitment boundary. *)
+val step : t -> Sim.state -> Sim.Plan_buf.t -> unit
+(** Write the allocation for the current date, with a horizon at the
+    next commitment boundary, into the engine's (grab-order) buffer.  A
+    machine whose commitments overlap at the current date gets one run
+    per covering commitment. *)

@@ -40,9 +40,9 @@ let fmax (a : float) (b : float) = if b > a then b else a
 module Plan_buf = struct
   (* Parallel columns: machine "runs" indexing into a flat (job, share)
      entry array.  [grab_order] declares that runs were pushed in reverse
-     canonical order (the heap walk prepends); accessors transparently
-     reverse so every reader sees the canonical (legacy-list) order —
-     float summation order included — bit for bit. *)
+     canonical order (the list-scheduling walk); accessors transparently
+     reverse the runs so every reader sees the canonical order — float
+     summation order included — bit for bit. *)
   type t = {
     mutable run_mach : int array;   (* machine of run i (push order) *)
     mutable run_start : int array;  (* first entry of run i *)
@@ -129,14 +129,6 @@ module Plan_buf = struct
 
   let entry_job b i k = b.e_job.(b.run_start.(raw b i) + k)
   let entry_share b i k = b.e_share.(b.run_start.(raw b i) + k)
-
-  let of_allocation b alloc =
-    clear b;
-    List.iter
-      (fun (m, shares) ->
-        begin_machine b m;
-        List.iter (fun (job, share) -> push_share b ~job ~share) shares)
-      alloc
 
   let to_allocation b =
     List.init (runs b) (fun i ->

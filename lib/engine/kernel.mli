@@ -22,11 +22,22 @@ module Vec = Gripps_collections.Vec
 val fmax : float -> float -> float
 (** [if b > a then b else a] — the kernel's max, NaN-agnostic. *)
 
-(** The flat plan buffer: a plan as parallel columns instead of the
-    nested association list.  See {!Sim.Plan_buf} (a re-export of this
-    module) for the full order contract — accessors always present runs
-    in canonical (legacy-list) order, transparently reversing buffers
-    filled in grab order. *)
+(** {1 Flat plan buffer}
+
+    The one scheduler contract: a plan as parallel columns — machine
+    "runs" indexing into a flat [(job, share)] entry array.  Every
+    scheduler (batch, daemon, federation shard) writes its plan into a
+    buffer the driver owns and clears/refills at every replan, so
+    steady-state replanning allocates nothing.  Machines without a run
+    are idle; shares must be positive and sum to at most 1 per run.
+
+    {b Order contract.}  Accessors index runs in {e canonical} order:
+    the order {!to_allocation} lists them and {!load_rates} accumulates
+    them in.  Writers that emit runs in grab order (the list-scheduling
+    walk, which historically built its list by {e prepending}) clear
+    with [~grab_order:true]; the accessors then transparently reverse
+    the runs — never the entries within a run — so the canonical order
+    is the reverse push order, float summation order included. *)
 module Plan_buf : sig
   type t = {
     mutable run_mach : int array;
@@ -40,20 +51,49 @@ module Plan_buf : sig
   }
 
   val create : unit -> t
+
   val clear : ?grab_order:bool -> t -> unit
+  (** Empty the buffer and reset the horizon.  [grab_order] (default
+      false) declares that runs will be pushed in reverse canonical
+      order. *)
+
   val begin_machine : t -> int -> unit
+  (** Start a new run for the given machine; subsequent {!push_share}
+      calls append to it. *)
+
   val push_share : t -> job:int -> share:float -> unit
+  (** @raise Invalid_argument before any {!begin_machine}. *)
+
   val push_unit_share : t -> job:int -> unit
+  (** [push_share ~share:1.0] without a float in the signature, so the
+      call allocates nothing (a [float] argument of a non-inlined call
+      is boxed).  Full-share grabs are the common case — all of list
+      scheduling. *)
+
   val set_horizon : t -> float -> unit
+  (** Declare the plan valid only up to this date, which must be
+      strictly later than the current one. *)
+
   val horizon : t -> float
+  (** The declared horizon, or [infinity] when none was set. *)
+
   val runs : t -> int
   val is_empty : t -> bool
+
   val run_machine : t -> int -> int
+  (** Machine of the [i]-th run, canonical order. *)
+
   val run_length : t -> int -> int
+
   val entry_job : t -> int -> int -> int
+  (** [entry_job b i k]: job of the [k]-th share of the [i]-th canonical
+      run. *)
+
   val entry_share : t -> int -> int -> float
-  val of_allocation : t -> (int * (int * float) list) list -> unit
+
   val to_allocation : t -> (int * (int * float) list) list
+  (** Materialize the canonical-order [(machine, [(job, share)])] list
+      (allocates; journaling only). *)
 end
 
 type t = {

@@ -3,8 +3,6 @@ module Obs = Gripps_obs.Obs
 module J = Obs.Journal
 module Vec = Gripps_collections.Vec
 
-type allocation = (int * (int * float) list) list
-
 type event =
   | Arrival of int
   | Completion of int
@@ -116,24 +114,6 @@ let push_event st k subj =
   st.ev_subj.(st.ev_len) <- subj;
   st.ev_len <- st.ev_len + 1
 
-let materialize_events st =
-  let rec go i acc =
-    if i < 0 then acc
-    else go (i - 1) (event_of_code st.ev_kinds.(i) st.ev_subj.(i) :: acc)
-  in
-  go (st.ev_len - 1) []
-
-type plan = { allocation : allocation; horizon : float option }
-
-let idle = { allocation = []; horizon = None }
-
-type scheduler = {
-  name : string;
-  make : Instance.t -> state -> event list -> plan;
-}
-
-let stateless name f = { name; make = (fun _inst -> f) }
-
 type flat_scheduler = {
   fname : string;
   fmake : Instance.t -> state -> Plan_buf.t -> unit;
@@ -147,24 +127,6 @@ let flat_incremental ~name ~init ~on_event =
       (fun inst ->
         let s = init inst in
         fun st buf -> on_event s st buf) }
-
-(* A legacy list scheduler as a flat one: materialize the event batch,
-   call the list callback, flatten its answer into the engine's buffer
-   (canonical write order, so the run/entry order — float summation
-   order included — is exactly the legacy list's).  This is how the
-   legacy contract executes at all now: the engine itself only ever
-   drives flat callbacks. *)
-let of_legacy (s : scheduler) : flat_scheduler =
-  { fname = s.name;
-    fmake =
-      (fun inst ->
-        let cb = s.make inst in
-        fun st buf ->
-          let p = cb st (materialize_events st) in
-          Plan_buf.of_allocation buf p.allocation;
-          match p.horizon with
-          | Some h -> Plan_buf.set_horizon buf h
-          | None -> ()) }
 
 (* The blind view is the engine state itself; the restriction is entirely
    in the signature (sim.mli keeps [view] abstract and only the accessors
@@ -188,16 +150,20 @@ module Blind = struct
   let databank v j = job_field "databank" (fun (j : Job.t) -> j.databank) v j
   let release v j = job_field "release" (fun (j : Job.t) -> j.release) v j
   let user v j = job_field "user" (fun (j : Job.t) -> j.user) v j
+
+  let at_boundary v =
+    let rec go i = i < v.ev_len && (v.ev_kinds.(i) = k_boundary || go (i + 1)) in
+    go 0
 end
 
-let nonclairvoyant name f = stateless name f
+let nonclairvoyant = flat_stateless
 
 let nonclairvoyant_incremental ~name ~init ~on_event =
-  { name;
-    make =
+  { fname = name;
+    fmake =
       (fun inst ->
         let s = init (Instance.platform inst) in
-        fun st evs -> on_event s st evs) }
+        fun st buf -> on_event s st buf) }
 
 exception Stalled of { time : float; pending : int list }
 
@@ -274,7 +240,8 @@ let check_plan st name (b : Plan_buf.t) =
         invalid_arg
           (Printf.sprintf "%s: negative share %g for job %d on machine %d"
              name share jid mid);
-      if share <= 0.0 then invalid_arg (name ^ ": non-positive share");
+      (* Written as a negation so NaN fails it too. *)
+      if not (share > 0.0) then invalid_arg (name ^ ": non-positive share");
       if not st.released.(jid) then
         invalid_arg (name ^ ": job allocated before release");
       if is_completed st jid then
@@ -381,8 +348,7 @@ let run_core ?horizon ?(faults = []) ?(loss = Fault.Crash) ~record ~name
   in
   (* Dispatch the buffered batch to the scheduler: journal the events and
      the plan it answers with, and keep the per-run tallies.  The
-     scheduler writes into the kernel's reusable plan buffer (legacy list
-     schedulers arrive here through {!of_legacy}). *)
+     scheduler writes into the kernel's reusable plan buffer. *)
   let dispatch () =
     event_count := !event_count + st.ev_len;
     Obs.Counter.add c_events st.ev_len;
@@ -435,7 +401,7 @@ let run_core ?horizon ?(faults = []) ?(loss = Fault.Crash) ~record ~name
       push_event st (if v land 1 = 1 then k_recovery else k_failure) (v lsr 1)
     done
   in
-  (* The delivered shares as a legacy list, canonical order, crashed
+  (* The delivered shares as a list, canonical order, crashed
      machines dropped — materialized only when a segment is actually
      recorded (record mode or journaling). *)
   let delivered_shares () =
@@ -494,7 +460,7 @@ let run_core ?horizon ?(faults = []) ?(loss = Fault.Crash) ~record ~name
       match k.Kernel.trace with e :: _ -> e.Fault.time | [] -> infinity
     in
     let horizon_t = k.Kernel.plan.Plan_buf.hor.(0) in
-    if horizon_t <= nowv +. 1e-12 then
+    if not (horizon_t > nowv +. 1e-12) then
       invalid_arg (name ^ ": plan horizon not in the future");
     if arrival_t < k.Kernel.scratch.(0) then k.Kernel.scratch.(0) <- arrival_t;
     if fault_t < k.Kernel.scratch.(0) then k.Kernel.scratch.(0) <- fault_t;
@@ -587,10 +553,3 @@ let run_core ?horizon ?(faults = []) ?(loss = Fault.Crash) ~record ~name
 let run_report_flat ?horizon ?faults ?loss ?(record = true) fs inst =
   run_core ?horizon ?faults ?loss ~record ~name:fs.fname ~f:(fs.fmake inst)
     inst
-
-let run_report ?horizon ?faults ?loss scheduler inst =
-  run_report_flat ?horizon ?faults ?loss ~record:true (of_legacy scheduler)
-    inst
-
-let run ?horizon ?faults ?loss scheduler inst =
-  (run_report ?horizon ?faults ?loss scheduler inst).schedule

@@ -10,7 +10,7 @@
 
     Schedulers are on-line: the callback only ever sees jobs released so
     far (enforced by construction — unreleased jobs have no remaining-work
-    entry observable through {!active_jobs}) and the decisions it returns
+    entry observable through {!active_jobs}) and the decisions it writes
     cannot be retracted for elapsed time.
 
     {b Faults.}  A {!Fault.trace} (explicit, or encoded as platform
@@ -25,17 +25,11 @@
     / [int array] / [bool array] columns indexed by job or machine id —
     and the event loop is written so that steady-state event processing
     allocates nothing on the OCaml minor heap once the run's buffers have
-    grown to their working size (list-based {!scheduler}s and journaling
-    excepted).  {!flat_scheduler}s plug into this regime by writing their
-    plans into a reusable {!Plan_buf.t} instead of consing allocation
-    lists. *)
+    grown to their working size (journaling excepted).  Schedulers plug
+    into this regime by writing their plans into a reusable
+    {!Plan_buf.t}. *)
 
 open Gripps_model
-
-(** [(machine, [(job, share); ...])]: shares of each machine's time.
-    Machines absent from the list are idle; shares must be positive and
-    sum to at most 1 per machine. *)
-type allocation = (int * (int * float) list) list
 
 type event =
   | Arrival of int     (** job id just released *)
@@ -44,69 +38,9 @@ type event =
   | Failure of int     (** machine id just went down *)
   | Recovery of int    (** machine id just came back up *)
 
-(** {1 Flat plan buffer}
-
-    A plan as parallel columns instead of the nested [allocation] list:
-    machine "runs" indexing into a flat [(job, share)] entry array.  The
-    engine owns one buffer per simulation and clears/refills it at every
-    replan, so steady-state replanning allocates nothing.
-
-    {b Order contract.}  Accessors index runs in {e canonical} order —
-    the order of the equivalent legacy [allocation] list.  Writers that
-    emit runs in grab order (like the heap walk, whose legacy counterpart
-    builds its list by {e prepending}) clear with [~grab_order:true]; the
-    accessors then transparently reverse, reproducing the legacy list —
-    float summation order included — bit for bit. *)
-module Plan_buf : sig
-  type t = Kernel.Plan_buf.t
-
-  val create : unit -> t
-
-  val clear : ?grab_order:bool -> t -> unit
-  (** Empty the buffer and reset the horizon.  [grab_order] (default
-      false) declares that runs will be pushed in reverse canonical
-      order. *)
-
-  val begin_machine : t -> int -> unit
-  (** Start a new run for the given machine; subsequent {!push_share}
-      calls append to it. *)
-
-  val push_share : t -> job:int -> share:float -> unit
-  (** @raise Invalid_argument before any {!begin_machine}. *)
-
-  val push_unit_share : t -> job:int -> unit
-  (** [push_share ~share:1.0] without a float in the signature, so the
-      call allocates nothing (a [float] argument of a non-inlined call
-      is boxed).  Full-share grabs are the common case — all of list
-      scheduling. *)
-
-  val set_horizon : t -> float -> unit
-  (** Declare the plan valid only up to this date (the legacy
-      [plan.horizon = Some h]). *)
-
-  val horizon : t -> float
-  (** The declared horizon, or [infinity] when none was set. *)
-
-  val runs : t -> int
-  val is_empty : t -> bool
-
-  val run_machine : t -> int -> int
-  (** Machine of the [i]-th run, canonical order. *)
-
-  val run_length : t -> int -> int
-
-  val entry_job : t -> int -> int -> int
-  (** [entry_job b i k]: job of the [k]-th share of the [i]-th canonical
-      run. *)
-
-  val entry_share : t -> int -> int -> float
-
-  val of_allocation : t -> allocation -> unit
-  (** Clear and refill from a legacy list (canonical write order). *)
-
-  val to_allocation : t -> allocation
-  (** Materialize the canonical-order legacy list (allocates). *)
-end
+(** The flat plan buffer every scheduler writes its plan into; see
+    {!Kernel.Plan_buf} for the order contract. *)
+module Plan_buf = Kernel.Plan_buf
 
 type state
 
@@ -139,12 +73,11 @@ val kernel : state -> Kernel.t
     scheduler callback [Kernel.rated] is the support of the plan segment
     that just ended (empty at the initial invocation): a superset of the
     jobs whose remaining work changed since the previous callback, so a
-    scheduler re-keys only those.  It is reloaded when the returned plan
+    scheduler re-keys only those.  It is reloaded when the written plan
     is validated. *)
 
 (** Indexed, allocation-free view of the event batch a {!flat_scheduler}
-    is being invoked for (the flat counterpart of the [event list]
-    argument of legacy callbacks). *)
+    is being invoked for. *)
 module Events : sig
   val count : state -> int
 
@@ -159,30 +92,16 @@ module Events : sig
       [`Failure]/[`Recovery], meaningless for [`Boundary]. *)
 end
 
-(** A plan: the allocation to apply from [now] on, valid until the next
-    arrival/completion/failure/recovery or until [horizon] (if any),
-    whichever comes first.  [horizon], when given, must be strictly later
-    than [now]. *)
-type plan = { allocation : allocation; horizon : float option }
-
-val idle : plan
-
 (** A scheduler: a name and a factory producing the per-run callback (the
     callback may close over mutable per-run state such as a precomputed
-    plan queue).  The callback receives the batch of simultaneous events
-    that just fired. *)
-type scheduler = {
-  name : string;
-  make : Instance.t -> state -> event list -> plan;
-}
-
-val stateless : string -> (state -> event list -> plan) -> scheduler
-
-(** A flat scheduler: the zero-allocation counterpart of {!scheduler}.
-    The callback reads the pending events through {!Events}, updates its
-    per-run state, and {e writes} the new plan into the provided
-    {!Plan_buf.t} (pre-cleared with [grab_order = true], so runs are
-    pushed in grab order) instead of returning an allocation list. *)
+    plan queue).  The callback reads the batch of simultaneous events
+    that just fired through {!Events}, updates its per-run state, and
+    {e writes} the new plan into the provided {!Plan_buf.t}: the
+    allocation to apply from [now] on, valid until the next
+    arrival/completion/failure/recovery or until the buffer's horizon
+    (if one is set), whichever comes first.  The buffer arrives
+    pre-cleared with [grab_order = true], so runs are pushed in grab
+    order (the reverse of canonical order). *)
 type flat_scheduler = {
   fname : string;
   fmake : Instance.t -> state -> Plan_buf.t -> unit;
@@ -199,14 +118,6 @@ val flat_incremental :
     fresh ['s] per simulation, so one scheduler value can be reused
     across runs and domains), and [on_event] folds each event batch into
     it and writes the plan. *)
-
-val of_legacy : scheduler -> flat_scheduler
-(** A legacy list scheduler as a {!flat_scheduler}: the callback's event
-    batch is materialized as a list and its returned plan flattened into
-    the engine's buffer in canonical (list) order, so the resulting run
-    is bit-identical to the historical list path.  The flat contract is
-    the engine's only execution path — {!run_report} is
-    [run_report_flat] over this adapter. *)
 
 (** {1 Non-clairvoyant schedulers}
 
@@ -241,17 +152,22 @@ module Blind : sig
 
   val user : view -> int -> int
   (** @raise Invalid_argument for a job not yet released. *)
+
+  val at_boundary : view -> bool
+  (** Does the pending event batch hold a [Boundary] (the previous
+      plan's horizon was reached)? *)
 end
 
-val nonclairvoyant : string -> (Blind.view -> event list -> plan) -> scheduler
+val nonclairvoyant :
+  string -> (Blind.view -> Plan_buf.t -> unit) -> flat_scheduler
 (** A stateless size-blind scheduler.  Runs on the ordinary engine —
     only the callback's view is restricted. *)
 
 val nonclairvoyant_incremental :
   name:string ->
   init:(Platform.t -> 's) ->
-  on_event:('s -> Blind.view -> event list -> plan) ->
-  scheduler
+  on_event:('s -> Blind.view -> Plan_buf.t -> unit) ->
+  flat_scheduler
 (** A stateful size-blind scheduler: [init] builds the per-run state once
     and [on_event] folds each event batch into it, as in
     {!flat_incremental} — but [init] sees only the platform (the
@@ -280,8 +196,7 @@ exception
     journal so the drag-out can be traced post mortem. *)
 
 (** The single result shape of a simulation: the realized schedule, its
-    metrics, the fault diagnostics, and the observability summary.  All
-    entry points return it ({!run} merely projects out the schedule). *)
+    metrics, the fault diagnostics, and the observability summary. *)
 type report = {
   schedule : Schedule.t;
   metrics : Metrics.t;  (** objectives of the realized schedule *)
@@ -297,11 +212,12 @@ type report = {
           journal is the concatenation of these slices in shard order. *)
 }
 
-val run_report :
+val run_report_flat :
   ?horizon:float ->
   ?faults:Fault.trace ->
   ?loss:Fault.loss ->
-  scheduler ->
+  ?record:bool ->
+  flat_scheduler ->
   Instance.t ->
   report
 (** Simulates to completion of all jobs.
@@ -311,39 +227,16 @@ val run_report :
     none), merged with the platform's static downtime intervals.
     @param loss what happens to in-flight work when a machine dies
     (default [Crash]).
-    @raise Stalled see above.
-    @raise Invalid_argument when the scheduler returns an invalid
-    allocation (oversubscribed machine, down machine, job without its
-    databank, unreleased or completed job, negative or zero share,
-    duplicate entry for one job on one machine, stale horizon), or when
-    the fault trace references an unknown machine. *)
-
-val run_report_flat :
-  ?horizon:float ->
-  ?faults:Fault.trace ->
-  ?loss:Fault.loss ->
-  ?record:bool ->
-  flat_scheduler ->
-  Instance.t ->
-  report
-(** {!run_report} for a {!flat_scheduler} — same semantics, same
-    exceptions, bit-identical metrics and completion dates for equivalent
-    schedulers.
     @param record when [false] (default [true]), skip materializing the
     per-segment schedule: [report.schedule] has no segments and
     [report.metrics] is computed directly from the completion dates
     (bit-identical to the recorded path).  This removes the last
     per-event allocation, so a steady-state run at [Counters]
     observability allocates nothing per event — the benchmarking
-    posture. *)
-
-val run :
-  ?horizon:float ->
-  ?faults:Fault.trace ->
-  ?loss:Fault.loss ->
-  scheduler ->
-  Instance.t ->
-  Schedule.t
-(** [run ... = (run_report ...).schedule]. *)
-
-
+    posture.
+    @raise Stalled see above.
+    @raise Invalid_argument when the scheduler writes an invalid plan
+    (oversubscribed machine, down machine, job without its databank,
+    unreleased or completed job, share not positive, duplicate entry
+    for one job on one machine, horizon not in the future), or when the
+    fault trace references an unknown machine. *)

@@ -27,7 +27,7 @@ let sweep ?(seed = 20060202) ?(instances_per_density = 10) ?densities
         let rng = Gripps_rng.Splitmix.create (seed + (1_000_003 * k) + (7919 * i)) in
         let inst = W.Generator.instance rng config in
         let opt = Q.to_float (Offline.optimal_max_stretch inst) in
-        let run s = Metrics.of_schedule (Sim.run ~horizon:1e9 s inst) in
+        let run s = (Sim.run_report_flat ~horizon:1e9 s inst).Sim.metrics in
         let m_opt = run Online_lp.online in
         let m_non = run Online_lp.online_non_optimized in
         if opt > 0.0 then begin

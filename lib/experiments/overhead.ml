@@ -69,7 +69,7 @@ let scaling ?(seed = 20060404) ?(horizons = [ 15.0; 30.0; 60.0; 120.0 ]) () =
       let inst = Gripps_workload.Generator.instance rng config in
       let time s =
         let t0 = Unix.gettimeofday () in
-        ignore (Gripps_engine.Sim.run ~horizon:1e9 s inst);
+        ignore (Gripps_engine.Sim.run_report_flat ~horizon:1e9 s inst);
         Unix.gettimeofday () -. t0
       in
       { jobs = Gripps_model.Instance.num_jobs inst;

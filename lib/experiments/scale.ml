@@ -131,8 +131,10 @@ let measure_cell ~seed ~legacy_cap ~repeats n spec =
       let frec =
         Sim.run_report_flat ~horizon:1e12 ~record:true flat inst
       in
-      let oracle = Legacy_adapter.resort_scheduler ~name:spec.s_name ~rule:spec.rule in
-      let l_wall_s, l_rep = time (fun () -> Sim.run_report ~horizon:1e12 oracle inst) in
+      let oracle = List_sched.resort_scheduler ~name:spec.s_name ~rule:spec.rule in
+      let l_wall_s, l_rep =
+        time (fun () -> Sim.run_report_flat ~horizon:1e12 oracle inst)
+      in
       Some
         { l_wall_s;
           l_events_per_s =

@@ -23,33 +23,28 @@ let entry ?(info = Clairvoyant) ~targets kind (s : Sim.flat_scheduler) =
     info;
     caps = { objectives = targets } }
 
-(* Legacy list schedulers enter the flat-only registry through the one
-   adapter. *)
-let legacy ?info ~targets kind s =
-  entry ?info ~targets kind (Legacy_adapter.flat s)
-
 (* Table 1 order, then the non-clairvoyant extensions.  Bender98/Bender02
    re-solve a stretch optimization at every arrival, so they are on-line
    solver-driven schedulers even though their decision rules differ from
    the Online family. *)
 let registry =
-  [ legacy Offline Gripps_core.Offline.scheduler
+  [ entry Offline Gripps_core.Offline.scheduler
       ~targets:[ Metrics.Max_stretch ];
-    legacy Online Online_lp.online
+    entry Online Online_lp.online
       ~targets:[ Metrics.Max_stretch; Metrics.Sum_stretch ];
-    legacy Online Online_lp.online_edf ~targets:[ Metrics.Max_stretch ];
-    legacy Online Online_lp.online_egdf ~targets:[ Metrics.Max_stretch ];
-    legacy Online Bender.bender98 ~targets:[ Metrics.Max_stretch ];
+    entry Online Online_lp.online_edf ~targets:[ Metrics.Max_stretch ];
+    entry Online Online_lp.online_egdf ~targets:[ Metrics.Max_stretch ];
+    entry Online Bender.bender98 ~targets:[ Metrics.Max_stretch ];
     entry Heuristic List_sched.flat_swrpt ~targets:[ Metrics.Sum_stretch ];
     entry Heuristic List_sched.flat_srpt
       ~targets:[ Metrics.Sum_flow; Metrics.Sum_stretch ];
     entry Heuristic List_sched.flat_spt ~targets:[ Metrics.Sum_stretch ];
-    legacy Online Bender.bender02 ~targets:[ Metrics.Max_stretch ];
-    legacy Heuristic Greedy.mct_div ~targets:[ Metrics.Makespan ];
-    legacy Heuristic Greedy.mct ~targets:[ Metrics.Makespan ];
-    legacy Heuristic Nonclairvoyant.equi ~info:Nonclairvoyant
+    entry Online Bender.bender02 ~targets:[ Metrics.Max_stretch ];
+    entry Heuristic Greedy.mct_div ~targets:[ Metrics.Makespan ];
+    entry Heuristic Greedy.mct ~targets:[ Metrics.Makespan ];
+    entry Heuristic Nonclairvoyant.equi ~info:Nonclairvoyant
       ~targets:[ Metrics.Sum_flow ];
-    legacy Heuristic Nonclairvoyant.rr ~info:Nonclairvoyant
+    entry Heuristic Nonclairvoyant.rr ~info:Nonclairvoyant
       ~targets:[ Metrics.Sum_flow ] ]
 
 let select p = List.filter p registry

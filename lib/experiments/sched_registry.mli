@@ -8,10 +8,8 @@
     {!paper_panel} is the Table 1 portfolio (the clairvoyant eleven),
     and remains the default panel everywhere.
 
-    Every entry speaks the engine's one scheduler ABI (the flat
-    {!Gripps_engine.Sim.Plan_buf} contract); legacy list schedulers
-    enter through {!Gripps_sched.Legacy_adapter.flat}, never as a
-    parallel execution path. *)
+    Every entry speaks the engine's one scheduler contract: it writes
+    its plans into a {!Gripps_engine.Sim.Plan_buf}. *)
 
 open Gripps_engine
 module Metrics = Gripps_model.Metrics

@@ -65,8 +65,6 @@ val run :
     shard order).  [faults] is a {e global} fault trace; each shard
     consumes its projection ({!Shard.project_faults}).  [horizon] is the
     per-shard simulation abort guard, as in {!Sim.run_report_flat}.
-    Legacy list schedulers federate through
-    {!Gripps_sched.Legacy_adapter.flat}.
     @raise Invalid_argument unless [1 <= shards <= num_machines].
     @raise Gripps_model.Metrics.Incomplete when some job never completed
     (only possible if a shard simulation was aborted). *)

@@ -100,12 +100,13 @@ let validate t =
             err "segment references machine %d out of range" mid
           else begin
             let total = List.fold_left (fun s (_, share) -> s +. share) 0.0 shares in
-            if total > 1.0 +. rel_eps then
+            (* Both tests are negated so a NaN share fails them. *)
+            if not (total <= 1.0 +. rel_eps) then
               err "machine %d oversubscribed (%g) in segment [%g, %g]" mid total
                 seg.start_time seg.end_time;
             List.iter
               (fun (jid, share) ->
-                if share <= 0.0 then
+                if not (share > 0.0) then
                   err "non-positive share %g for job %d on machine %d" share jid mid;
                 if jid < 0 || jid >= nj then
                   err "segment references job %d out of range" jid

@@ -135,8 +135,9 @@ module Journal : sig
   type sim_kind = Arrival | Completion | Boundary | Failure | Recovery
 
   type alloc = (int * (int * float) list) list
-  (** [(machine, [(job, share); ...])] — mirrors
-      {!Gripps_engine.Sim.allocation} without depending on the engine. *)
+  (** [(machine, [(job, share); ...])] — a plan in canonical order, as
+      {!Gripps_engine.Kernel.Plan_buf.to_allocation} lists it, without
+      depending on the engine. *)
 
   type event =
     | Run_start of { scheduler : string; jobs : int; machines : int }

@@ -1,13 +1,22 @@
 open Gripps_model
 open Gripps_engine
+module Pb = Sim.Plan_buf
+
+(* The batch's arrivals, in event order. *)
+let iter_arrivals st f =
+  for i = 0 to Sim.Events.count st - 1 do
+    match Sim.Events.kind st i with
+    | `Arrival -> f (Sim.Events.subject st i)
+    | `Completion | `Boundary | `Failure | `Recovery -> ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* MCT: one FIFO queue per machine, no preemption, no divisibility.    *)
 (* ------------------------------------------------------------------ *)
 
 let mct =
-  { Sim.name = "MCT";
-    make =
+  { Sim.fname = "MCT";
+    fmake =
       (fun inst ->
         let platform = Instance.platform inst in
         let nm = Platform.num_machines platform in
@@ -37,24 +46,18 @@ let mct =
           | Some (m, _) -> queues.(m) <- queues.(m) @ [ j ]
           | None -> assert false (* Instance.make guarantees a host exists *)
         in
-        fun st events ->
-          List.iter
-            (fun ev ->
-              match ev with
-              | Sim.Arrival j -> place st j
-              | Sim.Completion _ | Sim.Boundary | Sim.Failure _ | Sim.Recovery _ -> ())
-            events;
-          let allocation = ref [] in
+        fun st buf ->
+          iter_arrivals st (place st);
           for m = 0 to nm - 1 do
             (* Drop completed prefix, run the head (a down machine's queue
                waits for its repair — MCT never migrates). *)
             queues.(m) <- List.filter (fun j -> not (Sim.is_completed st j)) queues.(m);
             match queues.(m) with
             | j :: _ when Sim.machine_up st m ->
-              allocation := (m, [ (j, 1.0) ]) :: !allocation
+              Pb.begin_machine buf m;
+              Pb.push_unit_share buf ~job:j
             | _ :: _ | [] -> ()
-          done;
-          { Sim.allocation = !allocation; horizon = None }) }
+          done) }
 
 (* ------------------------------------------------------------------ *)
 (* MCT-Div: divisible placement into the earliest idle capacity of all *)
@@ -126,33 +129,30 @@ let pour (comms : commitments) ~capable ~t0 ~size ~j =
   t_star
 
 let mct_div =
-  { Sim.name = "MCT-Div";
-    make =
+  { Sim.fname = "MCT-Div";
+    fmake =
       (fun inst ->
         let platform = Instance.platform inst in
         let nm = Platform.num_machines platform in
         let comms : commitments = Array.make nm [] in
-        fun st events ->
-          List.iter
-            (fun ev ->
-              match ev with
-              | Sim.Arrival j ->
-                let job = Instance.job inst j in
-                let capable = Platform.hosts_of platform job.Job.databank in
-                ignore (pour comms ~capable ~t0:(Sim.now st) ~size:job.Job.size ~j)
-              | Sim.Completion _ | Sim.Boundary | Sim.Failure _ | Sim.Recovery _ -> ())
-            events;
+        fun st buf ->
+          iter_arrivals st (fun j ->
+              let job = Instance.job inst j in
+              let capable = Platform.hosts_of platform job.Job.databank in
+              ignore (pour comms ~capable ~t0:(Sim.now st) ~size:job.Job.size ~j));
           (* Play back commitments covering the current date. *)
           let t = Sim.now st in
-          let allocation = ref [] and next_edge = ref infinity in
+          let next_edge = ref infinity in
           for m = 0 to nm - 1 do
             (* Garbage-collect past commitments. *)
             comms.(m) <- List.filter (fun (_, e, _) -> e > t +. 1e-12) comms.(m);
             List.iter
               (fun (s, e, j) ->
                 if s <= t +. 1e-12 then begin
-                  if (not (Sim.is_completed st j)) && Sim.machine_up st m then
-                    allocation := (m, [ (j, 1.0) ]) :: !allocation;
+                  if (not (Sim.is_completed st j)) && Sim.machine_up st m then begin
+                    Pb.begin_machine buf m;
+                    Pb.push_unit_share buf ~job:j
+                  end;
                   if e < !next_edge then next_edge := e
                 end
                 else if s < !next_edge then next_edge := s)
@@ -161,17 +161,6 @@ let mct_div =
           (* Commitments never account for failures: crashed work or time
              spent down can leave residual work after the plan drains.
              Mop it up with SWRPT list scheduling instead of stalling. *)
-          if !allocation = [] && !next_edge = infinity && Sim.active_jobs st <> [] then begin
-            let order =
-              Sim.active_jobs st
-              |> List.map (fun j -> (Priority.key_with_tiebreak Priority.swrpt st j, j))
-              |> List.sort compare
-              |> List.map snd
-            in
-            { Sim.allocation = List_sched.allocate st ~priority_order:order;
-              horizon = None }
-          end
-          else begin
-            let horizon = if !next_edge = infinity then None else Some !next_edge in
-            { Sim.allocation = !allocation; horizon }
-          end) }
+          if Pb.is_empty buf && !next_edge = infinity && Sim.active_jobs st <> [] then
+            List_sched.resort Priority.swrpt st buf
+          else if !next_edge <> infinity then Pb.set_horizon buf !next_edge) }

@@ -13,5 +13,5 @@
 
 open Gripps_engine
 
-val mct : Sim.scheduler
-val mct_div : Sim.scheduler
+val mct : Sim.flat_scheduler
+val mct_div : Sim.flat_scheduler

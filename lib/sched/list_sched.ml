@@ -4,12 +4,11 @@ module Heap = Gripps_collections.Heap
 module Vec = Gripps_collections.Vec
 module Pb = Kernel.Plan_buf
 
-let allocate st ~priority_order =
+let allocate st ~priority_order buf =
   let inst = Sim.instance st in
   let platform = Instance.platform inst in
   let nm = Platform.num_machines platform in
   let free = Array.make nm true in
-  let alloc = ref [] in
   List.iter
     (fun j ->
       if (not (Sim.is_completed st j)) && Sim.is_released st j then begin
@@ -18,12 +17,24 @@ let allocate st ~priority_order =
           (fun (m : Machine.t) ->
             if free.(m.id) && Sim.machine_up st m.id then begin
               free.(m.id) <- false;
-              alloc := (m.id, [ (j, 1.0) ]) :: !alloc
+              Pb.begin_machine buf m.id;
+              Pb.push_unit_share buf ~job:j
             end)
           (Platform.hosts_of platform db)
       end)
-    priority_order;
-  !alloc
+    priority_order
+
+let resort rule st buf =
+  let order =
+    Sim.active_jobs st
+    |> List.map (fun j -> (rule st j, j))
+    |> List.sort compare
+    |> List.map snd
+  in
+  allocate st ~priority_order:order buf
+
+let resort_scheduler ~name ~rule =
+  Sim.flat_stateless name (fun st buf -> resort rule st buf)
 
 type flat_rule = Rule_fcfs | Rule_spt | Rule_srpt | Rule_swpt | Rule_swrpt
 

@@ -11,22 +11,34 @@
     through {!flat_scheduler}; the [Gripps_service] daemon drives it with
     slot ids on the same {!Gripps_engine.Kernel}.  The one other
     implementation of the rules is the recompute-from-scratch oracle
-    {!Legacy_adapter.resort_scheduler} (over {!allocate}), which the
-    differential tests hold the engine to bit for bit: same allocations,
-    hence the same schedules, metrics and journals. *)
+    {!resort_scheduler} (over {!allocate}), which the differential tests
+    hold the engine to bit for bit: same allocations, hence the same
+    schedules, metrics and journals. *)
 
 open Gripps_model
 open Gripps_engine
 
 val allocate :
-  Sim.state -> priority_order:int list -> Sim.allocation
-(** The one-shot allocation the rule produces for a given priority order
-    over (a subset of) the active jobs: each job in turn grabs every
-    still-idle {e up} machine hosting its databank, at full share (down
-    machines are never allocated, so list scheduling degrades gracefully
-    under failures).  Exposed for reuse by the on-line LP heuristics
+  Sim.state -> priority_order:int list -> Sim.Plan_buf.t -> unit
+(** Write the one-shot allocation the rule produces for a given priority
+    order over (a subset of) the active jobs: each job in turn grabs
+    every still-idle {e up} machine hosting its databank, at full share
+    (down machines are never allocated, so list scheduling degrades
+    gracefully under failures).  Runs are pushed in grab order, so the
+    buffer must be cleared with [~grab_order:true] — as the engine hands
+    it over.  Exposed for reuse by the on-line LP heuristics
     (Online-EGDF) and Bender's algorithms, which supply their own
     orders. *)
+
+val resort : Priority.rule -> Sim.state -> Sim.Plan_buf.t -> unit
+(** Recompute-from-scratch list scheduling: sort every active job by
+    [(rule key, id)] (O(n log n) per call) and {!allocate} in that
+    order.  The mop-up of the plan players (SWRPT, once a precomputed
+    plan runs dry with work left). *)
+
+val resort_scheduler : name:string -> rule:Priority.rule -> Sim.flat_scheduler
+(** {!resort} at every event: the differential-test oracle for the rule
+    engine below, which reproduces its grab sequence bit for bit. *)
 
 type flat_rule = Rule_fcfs | Rule_spt | Rule_srpt | Rule_swpt | Rule_swrpt
 (** Keys (lower first, ties to the smaller id): FCFS the release date,

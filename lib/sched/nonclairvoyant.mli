@@ -9,18 +9,18 @@
 
 open Gripps_engine
 
-val equi : Sim.scheduler
+val equi : Sim.flat_scheduler
 (** EQUI: each up machine shares its time equally among the active jobs
     whose databank it hosts (processor sharing). *)
 
 val default_quantum : float
 (** 1 second — the quantum of {!rr}. *)
 
-val rr : Sim.scheduler
+val rr : Sim.flat_scheduler
 (** Round-robin with the default quantum: the active jobs, rotated one
     position per expired quantum, grab free hosts of their databank in
     rotation order (list scheduling); the plan horizon fires the
     preemption. *)
 
-val rr_with : quantum:float -> Sim.scheduler
+val rr_with : quantum:float -> Sim.flat_scheduler
 (** @raise Invalid_argument on a non-positive quantum. *)

@@ -14,5 +14,3 @@ let swpt st j =
   w *. w
 
 let swrpt st j = Sim.remaining st j *. (job st j).Job.size
-
-let key_with_tiebreak rule st j = (rule st j, j)

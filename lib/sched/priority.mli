@@ -28,6 +28,3 @@ val swrpt : rule
 (** Shortest weighted remaining processing time, key [ρ_t(j) × W_j]: the
     natural sum-stretch heuristic studied by the paper (Theorem 2 shows
     its competitive ratio is no better than 2). *)
-
-val key_with_tiebreak : rule -> Sim.state -> int -> float * int
-(** Pair the rule's key with the job id, for use as a total order. *)

@@ -283,7 +283,7 @@ let make_daemon cfg src =
     seg_index = 0; seg_lines = 0;
     lat_hist = Array.make lat_bins 0; lat_count = 0 }
 
-(* The live plan as a legacy allocation list, slots mapped to external
+(* The live plan as an allocation list, slots mapped to external
    ids, optionally dropping crashing machines.  Built back to front so
    the list comes out in the buffer's canonical order — only ever
    materialized for the journal (cold path). *)
@@ -389,8 +389,8 @@ let serialize d =
     let j = (d.q_head + i) mod Array.length d.qe in
     pf "qitem %d %.17g %.17g %d\n" d.qe.(j) d.qr.(j) d.qw.(j) d.qd.(j)
   done;
-  (* Canonical (legacy list) order, so checkpoints written before and
-     after the flat-plan change are byte-identical. *)
+  (* Canonical order, so checkpoints written before and after the
+     flat-plan change are byte-identical. *)
   pf "plan %d\n" (Pb.runs k.Kernel.plan);
   for i = 0 to Pb.runs k.Kernel.plan - 1 do
     let len = Pb.run_length k.Kernel.plan i in

@@ -343,10 +343,12 @@ let restricted_instance () =
         mk_job ~id:3 ~release:1.5 ~size:4.0 ~databank:0 ();
         mk_job ~id:4 ~release:2.0 ~size:0.5 ~databank:1 () ]
 
+let run ~horizon s inst = (Sim.run_report_flat ~horizon s inst).Sim.schedule
+
 let test_offline_achieves_optimum () =
   let inst = restricted_instance () in
   let opt = Q.to_float (Offline.optimal_max_stretch inst) in
-  let sched = Sim.run ~horizon:1e7 Offline.scheduler inst in
+  let sched = run ~horizon:1e7 Offline.scheduler inst in
   Alcotest.(check (list string)) "valid" [] (Schedule.validate sched);
   let m = Metrics.of_schedule sched in
   Alcotest.(check bool) "max-stretch = S* (within fp)" true
@@ -359,15 +361,15 @@ let test_online_achieves_optimum_here () =
   let opt = Q.to_float (Offline.optimal_max_stretch inst) in
   List.iter
     (fun s ->
-      let m = Metrics.of_schedule (Sim.run ~horizon:1e7 s inst) in
+      let m = Metrics.of_schedule (run ~horizon:1e7 s inst) in
       Alcotest.(check bool)
-        (s.Sim.name ^ " hits optimum") true
+        (s.Sim.fname ^ " hits optimum") true
         (m.Metrics.max_stretch < opt +. 1e-6))
     [ Online_lp.online; Online_lp.online_edf ]
 
 let test_refined_improves_sum_stretch () =
   let inst = restricted_instance () in
-  let sum s = (Metrics.of_schedule (Sim.run ~horizon:1e7 s inst)).Metrics.sum_stretch in
+  let sum s = (Metrics.of_schedule (run ~horizon:1e7 s inst)).Metrics.sum_stretch in
   Alcotest.(check bool) "System (2) helps the sum-stretch" true
     (sum Offline.scheduler_refined < sum Offline.scheduler -. 1e-9)
 
@@ -423,12 +425,12 @@ let prop_offline_lower_bounds_heuristics =
         let opt = Q.to_float (Offline.optimal_max_stretch inst) in
         List.for_all
           (fun s ->
-            let m = Metrics.of_schedule (Sim.run ~horizon:1e8 s inst) in
+            let m = Metrics.of_schedule (run ~horizon:1e8 s inst) in
             m.Metrics.max_stretch >= opt -. 1e-6 *. Float.max 1.0 opt)
           [ Offline.scheduler; Online_lp.online; Online_lp.online_egdf;
-            Gripps_sched.Legacy_adapter.resort_scheduler ~name:"SRPT"
+            Gripps_sched.List_sched.resort_scheduler ~name:"SRPT"
               ~rule:Gripps_sched.Priority.srpt;
-            Gripps_sched.Legacy_adapter.resort_scheduler ~name:"SWRPT"
+            Gripps_sched.List_sched.resort_scheduler ~name:"SWRPT"
               ~rule:Gripps_sched.Priority.swrpt;
             Gripps_sched.Greedy.mct; Bender.bender02 ])
 
@@ -439,7 +441,7 @@ let prop_offline_realizes_optimum =
       | None -> true
       | Some inst ->
         let opt = Q.to_float (Offline.optimal_max_stretch inst) in
-        let sched = Sim.run ~horizon:1e8 Offline.scheduler inst in
+        let sched = run ~horizon:1e8 Offline.scheduler inst in
         Schedule.validate sched = []
         && (let m = Metrics.of_schedule sched in
             abs_float (m.Metrics.max_stretch -. opt) <= 1e-5 *. Float.max 1.0 opt))
@@ -453,7 +455,7 @@ let prop_online_schedulers_valid =
       | Some inst ->
         List.for_all
           (fun s ->
-            let sched = Sim.run ~horizon:1e8 s inst in
+            let sched = run ~horizon:1e8 s inst in
             Schedule.validate sched = [] && Schedule.all_completed sched)
           [ Online_lp.online; Online_lp.online_edf; Online_lp.online_egdf;
             Online_lp.online_non_optimized; Bender.bender98; Bender.bender02 ])

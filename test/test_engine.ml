@@ -8,12 +8,26 @@ open Gripps_engine
 let mk_job ?(id = 0) ?(release = 0.0) ?(size = 1.0) ?(databank = 0) () =
   Job.make ~id ~release ~size ~databank
 
-let run_all scheduler inst = Sim.run ~horizon:1e7 scheduler inst
+let run_all scheduler inst =
+  (Sim.run_report_flat ~horizon:1e7 scheduler inst).Sim.schedule
+
+(* Test schedulers state their plan as a list: [(machine, [(job, share)])]
+   runs in canonical order, plus an optional horizon. *)
+let list_scheduler name f =
+  Sim.flat_stateless name (fun st buf ->
+      let alloc, horizon = f st in
+      Sim.Plan_buf.clear buf;
+      List.iter
+        (fun (m, shares) ->
+          Sim.Plan_buf.begin_machine buf m;
+          List.iter (fun (job, share) -> Sim.Plan_buf.push_share buf ~job ~share) shares)
+        alloc;
+      Option.iter (Sim.Plan_buf.set_horizon buf) horizon)
 
 (* A scheduler that runs every active job on every capable machine with
    equal shares: the "processor sharing" reference. *)
 let fair_share =
-  Sim.stateless "fair-share" (fun st _events ->
+  list_scheduler "fair-share" (fun st ->
       let inst = Sim.instance st in
       let platform = Instance.platform inst in
       let active = Sim.active_jobs st in
@@ -31,7 +45,7 @@ let fair_share =
                  let share = 1.0 /. float_of_int (List.length mine) in
                  Some (m.Machine.id, List.map (fun j -> (j, share)) mine))
       in
-      { Sim.allocation; horizon = None })
+      (allocation, None))
 
 let test_single_job () =
   let inst =
@@ -70,24 +84,20 @@ let test_arrival_preemption_point () =
 let test_simultaneous_arrivals_batched () =
   let batches = ref [] in
   let recorder =
-    { Sim.name = "recorder";
-      make =
-        (fun _inst ->
-          fun st events ->
-            let arrivals =
-              List.filter_map
-                (fun e ->
-                  match e with
-                  | Sim.Arrival j -> Some j
-                  | Sim.Completion _ | Sim.Boundary | Sim.Failure _ | Sim.Recovery _
-                    -> None)
-                events
-            in
-            if arrivals <> [] then batches := arrivals :: !batches;
-            (* Run the lowest-id active job alone. *)
-            match Sim.active_jobs st with
-            | [] -> Sim.idle
-            | j :: _ -> { Sim.allocation = [ (0, [ (j, 1.0) ]) ]; horizon = None }) }
+    list_scheduler "recorder" (fun st ->
+        let arrivals =
+          List.filter_map
+            (fun i ->
+              match Sim.Events.kind st i with
+              | `Arrival -> Some (Sim.Events.subject st i)
+              | `Completion | `Boundary | `Failure | `Recovery -> None)
+            (List.init (Sim.Events.count st) Fun.id)
+        in
+        if arrivals <> [] then batches := arrivals :: !batches;
+        (* Run the lowest-id active job alone. *)
+        match Sim.active_jobs st with
+        | [] -> ([], None)
+        | j :: _ -> ([ (0, [ (j, 1.0) ]) ], None))
   in
   let inst =
     Instance.make ~platform:(Platform.single ~speed:1.0)
@@ -101,12 +111,11 @@ let test_simultaneous_arrivals_batched () =
 let test_boundary_events () =
   (* A scheduler that only commits half time-quanta of 0.25 s. *)
   let quantum =
-    Sim.stateless "quantum" (fun st _events ->
+    list_scheduler "quantum" (fun st ->
         match Sim.active_jobs st with
-        | [] -> Sim.idle
+        | [] -> ([], None)
         | j :: _ ->
-          { Sim.allocation = [ (0, [ (j, 1.0) ]) ];
-            horizon = Some (Sim.now st +. 0.25) })
+          ([ (0, [ (j, 1.0) ]) ], Some (Sim.now st +. 0.25)))
   in
   let inst =
     Instance.make ~platform:(Platform.single ~speed:1.0) ~jobs:[ mk_job ~size:1.0 () ]
@@ -124,7 +133,7 @@ let test_idle_gap_then_arrival () =
   Alcotest.(check (float 1e-9)) "gap respected" 11.0 (Schedule.completion_exn sched 1)
 
 let test_stalled_detection () =
-  let lazy_sched = Sim.stateless "lazy" (fun _st _events -> Sim.idle) in
+  let lazy_sched = list_scheduler "lazy" (fun _st -> ([], None)) in
   let inst =
     Instance.make ~platform:(Platform.single ~speed:1.0) ~jobs:[ mk_job ~size:1.0 () ]
   in
@@ -135,10 +144,10 @@ let test_stalled_detection () =
 
 let test_rejects_oversubscription () =
   let bad =
-    Sim.stateless "bad" (fun st _events ->
+    list_scheduler "bad" (fun st ->
         match Sim.active_jobs st with
-        | [] -> Sim.idle
-        | j :: _ -> { Sim.allocation = [ (0, [ (j, 0.7); (j, 0.7) ]) ]; horizon = None })
+        | [] -> ([], None)
+        | j :: _ -> ([ (0, [ (j, 0.7); (j, 0.7) ]) ], None))
   in
   let inst =
     Instance.make ~platform:(Platform.single ~speed:1.0) ~jobs:[ mk_job ~size:1.0 () ]
@@ -155,10 +164,10 @@ let test_rejects_wrong_databank () =
       ~num_databanks:2
   in
   let bad =
-    Sim.stateless "bad-db" (fun st _events ->
+    list_scheduler "bad-db" (fun st ->
         match Sim.active_jobs st with
-        | [] -> Sim.idle
-        | j :: _ -> { Sim.allocation = [ (1, [ (j, 1.0) ]) ]; horizon = None })
+        | [] -> ([], None)
+        | j :: _ -> ([ (1, [ (j, 1.0) ]) ], None))
   in
   let inst = Instance.make ~platform:p ~jobs:[ mk_job ~size:1.0 ~databank:0 () ] in
   Alcotest.check_raises "missing databank"
@@ -171,11 +180,8 @@ let test_rejects_wrong_databank () =
 let one_job_inst () =
   Instance.make ~platform:(Platform.single ~speed:1.0) ~jobs:[ mk_job ~size:1.0 () ]
 
-let reject_test name make_alloc expected =
-  let bad =
-    Sim.stateless name (fun st _events ->
-        { Sim.allocation = make_alloc st; horizon = None })
-  in
+let reject_test ?horizon name make_alloc expected =
+  let bad = list_scheduler name (fun st -> (make_alloc st, horizon)) in
   Alcotest.check_raises expected (Invalid_argument (name ^ ": " ^ expected))
     (fun () -> ignore (run_all bad (one_job_inst ())))
 
@@ -187,6 +193,15 @@ let test_rejects_unknown_job () =
 
 let test_rejects_nonpositive_share () =
   reject_test "bad-s" (fun _ -> [ (0, [ (0, 0.0) ]) ]) "non-positive share"
+
+let test_rejects_nan_share () =
+  (* NaN fails every ordered comparison, so only a negated test sees it:
+     the run sum is NaN too, which slips past the oversubscription test. *)
+  reject_test "bad-nan" (fun _ -> [ (0, [ (0, nan) ]) ]) "non-positive share"
+
+let test_rejects_nan_horizon () =
+  reject_test ~horizon:nan "bad-h" (fun _ -> [ (0, [ (0, 1.0) ]) ])
+    "plan horizon not in the future"
 
 let test_rejects_duplicate_entry () =
   (* Two sub-unit shares for the same job on one machine: the sum fits, so
@@ -204,12 +219,11 @@ let test_duplicate_across_machines_ok () =
   (* The duplicate guard is per machine: the same job may legitimately run
      on several machines at once. *)
   let spread =
-    Sim.stateless "spread" (fun st _events ->
+    list_scheduler "spread" (fun st ->
         match Sim.active_jobs st with
-        | [] -> Sim.idle
+        | [] -> ([], None)
         | j :: _ ->
-          { Sim.allocation = [ (0, [ (j, 1.0) ]); (1, [ (j, 1.0) ]) ];
-            horizon = None })
+          ([ (0, [ (j, 1.0) ]); (1, [ (j, 1.0) ]) ], None))
   in
   let inst =
     Instance.make ~platform:(Platform.uniform ~speeds:[ 1.0; 1.0 ])
@@ -225,13 +239,12 @@ let test_dirty_set_is_previous_support () =
      re-keying relies on. *)
   let dirt = ref [] in
   let spy =
-    Sim.stateless "support-spy" (fun st _events ->
+    list_scheduler "support-spy" (fun st ->
         let rated = (Sim.kernel st).Kernel.rated in
         dirt := List.sort compare (Gripps_collections.Vec.to_list rated) :: !dirt;
         match Sim.active_jobs st with
-        | [] -> Sim.idle
-        | js -> { Sim.allocation = [ (0, List.map (fun j -> (j, 0.5)) js) ];
-                  horizon = None })
+        | [] -> ([], None)
+        | js -> ([ (0, List.map (fun j -> (j, 0.5)) js) ], None))
   in
   let inst =
     Instance.make ~platform:(Platform.single ~speed:1.0)
@@ -249,8 +262,8 @@ let test_dirty_set_is_previous_support () =
 
 let test_rejects_unreleased_job () =
   let bad =
-    Sim.stateless "early" (fun _st _events ->
-        { Sim.allocation = [ (0, [ (1, 1.0) ]) ]; horizon = None })
+    list_scheduler "early" (fun _st ->
+        ([ (0, [ (1, 1.0) ]) ], None))
   in
   let inst =
     Instance.make ~platform:(Platform.single ~speed:1.0)
@@ -263,8 +276,8 @@ let test_rejects_unreleased_job () =
 let test_rejects_completed_job () =
   (* Keep allocating job 0 after it completes at t = 1. *)
   let bad =
-    Sim.stateless "zombie" (fun _st _events ->
-        { Sim.allocation = [ (0, [ (0, 1.0) ]) ]; horizon = None })
+    list_scheduler "zombie" (fun _st ->
+        ([ (0, [ (0, 1.0) ]) ], None))
   in
   let inst =
     Instance.make ~platform:(Platform.single ~speed:1.0)
@@ -276,11 +289,11 @@ let test_rejects_completed_job () =
 
 let test_rejects_stale_horizon () =
   let bad =
-    Sim.stateless "stale" (fun st _events ->
+    list_scheduler "stale" (fun st ->
         match Sim.active_jobs st with
-        | [] -> Sim.idle
+        | [] -> ([], None)
         | j :: _ ->
-          { Sim.allocation = [ (0, [ (j, 1.0) ]) ]; horizon = Some (Sim.now st) })
+          ([ (0, [ (j, 1.0) ]) ], Some (Sim.now st)))
   in
   Alcotest.check_raises "stale horizon"
     (Invalid_argument "stale: plan horizon not in the future") (fun () ->
@@ -289,13 +302,13 @@ let test_rejects_stale_horizon () =
 let test_remaining_unreleased_hidden () =
   let spy_ok = ref true in
   let spy =
-    Sim.stateless "spy" (fun st _events ->
+    list_scheduler "spy" (fun st ->
         (match Sim.remaining st 1 with
          | _ -> if not (Sim.is_released st 1) then spy_ok := false
          | exception Invalid_argument _ -> ());
         match Sim.active_jobs st with
-        | [] -> Sim.idle
-        | j :: _ -> { Sim.allocation = [ (0, [ (j, 1.0) ]) ]; horizon = None })
+        | [] -> ([], None)
+        | j :: _ -> ([ (0, [ (j, 1.0) ]) ], None))
   in
   let inst =
     Instance.make ~platform:(Platform.single ~speed:1.0)
@@ -355,6 +368,8 @@ let suite =
       Alcotest.test_case "rejects unknown job" `Quick test_rejects_unknown_job;
       Alcotest.test_case "rejects non-positive share" `Quick
         test_rejects_nonpositive_share;
+      Alcotest.test_case "rejects NaN share" `Quick test_rejects_nan_share;
+      Alcotest.test_case "rejects NaN horizon" `Quick test_rejects_nan_horizon;
       Alcotest.test_case "rejects duplicate entry" `Quick
         test_rejects_duplicate_entry;
       Alcotest.test_case "rejects negative share" `Quick
@@ -375,13 +390,13 @@ let test_horizon_guard () =
   (* A "procrastinating" scheduler: always idles until a far-future
      boundary before working. *)
   let lazy_boundary =
-    Sim.stateless "procrastinate" (fun st _events ->
-        { Sim.allocation = []; horizon = Some (Sim.now st +. 1000.0) })
+    list_scheduler "procrastinate" (fun st ->
+        ([], Some (Sim.now st +. 1000.0)))
   in
   let inst =
     Instance.make ~platform:(Platform.single ~speed:1.0) ~jobs:[ mk_job ~size:1.0 () ]
   in
-  match Sim.run ~horizon:500.0 lazy_boundary inst with
+  match Sim.run_report_flat ~horizon:500.0 lazy_boundary inst with
   | _ -> Alcotest.fail "expected Horizon_exceeded"
   | exception Sim.Horizon_exceeded { scheduler; guard; pending; _ } ->
     Alcotest.(check string) "scheduler name" "procrastinate" scheduler;

@@ -105,15 +105,17 @@ let test_static_downtime_equivalent () =
 
 let test_down_machine_allocation_rejected () =
   let stubborn =
-    Sim.stateless "stubborn" (fun st _events ->
+    Sim.flat_stateless "stubborn" (fun st buf ->
         match Sim.active_jobs st with
-        | [] -> Sim.idle
-        | j :: _ -> { Sim.allocation = [ (0, [ (j, 1.0) ]) ]; horizon = None })
+        | [] -> ()
+        | j :: _ ->
+          Sim.Plan_buf.begin_machine buf 0;
+          Sim.Plan_buf.push_unit_share buf ~job:j)
   in
   Alcotest.check_raises "down machine"
     (Invalid_argument "stubborn: allocation references down machine") (fun () ->
       ignore
-        (Sim.run ~horizon:1e6
+        (Sim.run_report_flat ~horizon:1e6
            ~faults:[ down 0.0 0; up 100.0 0 ]
            stubborn (single_job_inst ())))
 
@@ -234,7 +236,8 @@ let test_online_budget_degrades_to_swrpt () =
      particular, it must complete. *)
   let inst = budgeted_instance () in
   let degraded =
-    Sim.run ~horizon:1e9 (Online_lp.online_budgeted zero_budget) inst
+    (Sim.run_report_flat ~horizon:1e9 (Online_lp.online_budgeted zero_budget) inst)
+      .Sim.schedule
   in
   let swrpt =
     (Sim.run_report_flat ~horizon:1e9 List_sched.flat_swrpt inst).Sim.schedule
@@ -248,7 +251,10 @@ let test_online_budget_degrades_to_swrpt () =
 
 let test_offline_budget_chain_completes () =
   let inst = budgeted_instance () in
-  let sched = Sim.run ~horizon:1e9 (Offline.scheduler_budgeted zero_budget) inst in
+  let sched =
+    (Sim.run_report_flat ~horizon:1e9 (Offline.scheduler_budgeted zero_budget) inst)
+      .Sim.schedule
+  in
   Alcotest.(check bool) "completes via greedy fallback" true
     (Schedule.all_completed sched);
   Alcotest.(check (list string)) "valid" [] (Schedule.validate sched)
@@ -261,7 +267,7 @@ let test_resilience_sweep_smoke () =
       ~horizon:10.0 ()
   in
   let panel =
-    [ List_sched.flat_swrpt; List_sched.flat_srpt; Legacy_adapter.flat Greedy.mct ]
+    [ List_sched.flat_swrpt; List_sched.flat_srpt; Greedy.mct ]
   in
   let run () =
     E.Resilience.run ~schedulers:panel ~mtbf_grid:[ 30.0 ] ~mttr:5.0 ~seed:5

@@ -1,7 +1,7 @@
 (* The flat (zero-allocation) engine path: a steady-state allocation
    budget pinned by the [sim.minor_words] counter, and a qcheck
-   differential pinning the rule engine byte-identical to the legacy
-   resort oracle across all five priority rules, under crash faults, on
+   differential pinning the rule engine byte-identical to the resort
+   oracle across all five priority rules, under crash faults, on
    a restricted-availability platform, sharded over a 2-domain pool. *)
 
 open Gripps_model
@@ -64,7 +64,7 @@ let test_zero_allocation_steady_state () =
         true
         (gc_per_event <= 3.0))
 
-(* ---- differential: rule engine vs legacy resort oracle ------------------ *)
+(* ---- differential: rule engine vs resort oracle ------------------------- *)
 
 (* Two databanks, one machine of each flavor plus one hosting both, so
    the heap walk faces genuinely restricted availability. *)
@@ -154,10 +154,11 @@ let prop_flat_matches_legacy =
               inst
           in
           let oracle =
-            Legacy_adapter.resort_scheduler ~name:flat.Sim.fname ~rule
+            List_sched.resort_scheduler ~name:flat.Sim.fname ~rule
           in
           let b =
-            Sim.run_report ~horizon:1e7 ~faults ~loss:Fault.Crash oracle inst
+            Sim.run_report_flat ~horizon:1e7 ~faults ~loss:Fault.Crash oracle
+              inst
           in
           same_report a b)
       |> List.for_all Fun.id)

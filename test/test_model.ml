@@ -125,7 +125,21 @@ let test_schedule_catches_oversubscription () =
   Alcotest.(check bool) "oversubscription detected" true
     (List.exists
        (fun e -> contains e "oversubscribed")
-       (Schedule.validate s))
+       (Schedule.validate s));
+  (* A NaN share makes the run's sum NaN, which fails every ordered
+     comparison: both the sum and the share must still be flagged. *)
+  let segments =
+    [ { Schedule.start_time = 0.0; end_time = 1.0;
+        shares = [ (0, [ (0, 1.0); (1, nan) ]) ] } ]
+  in
+  let errors =
+    Schedule.validate
+      (Schedule.make ~instance:inst ~segments ~completion:[| None; None |])
+  in
+  Alcotest.(check bool) "NaN sum flagged as oversubscription" true
+    (List.exists (fun e -> contains e "oversubscribed") errors);
+  Alcotest.(check bool) "NaN share flagged as non-positive" true
+    (List.exists (fun e -> contains e "non-positive share") errors)
 
 
 let test_schedule_catches_early_start () =

@@ -11,6 +11,8 @@ module E = Gripps_experiments
 module W = Gripps_workload
 module Sim = Gripps_engine.Sim
 
+let run s inst = (Sim.run_report_flat ~horizon:1e9 s inst).Sim.schedule
+
 (* ---- a completed run to evaluate objectives on ------------------------ *)
 
 let completed_instance ?(users = 1) seed =
@@ -285,6 +287,99 @@ let test_registry_targets_and_describe () =
     in
     contains "non-clairvoyant")
 
+(* ---- every registry entry, bit for bit ---------------------------------- *)
+
+(* A hand-built instance in decimal literals, so only IEEE basic
+   operations and [sqrt] ever touch its values.  Databank 0 lives on all
+   four machines and databank 1 on three, so every rate sum has three or
+   more terms and a change in any scheduler's run or entry order moves a
+   completion date.  The expected dates are [%h] literals captured from
+   the schedulers as they stood when the test was written. *)
+let pinned_instance () =
+  let machine id speed dbs = Machine.make ~id ~speed ~databanks:dbs in
+  let platform =
+    Platform.make ~num_databanks:2
+      ~machines:
+        [ machine 0 1.3 [| true; true |]; machine 1 0.7 [| true; false |];
+          machine 2 1.1 [| true; true |]; machine 3 0.9 [| true; true |] ]
+  in
+  Instance.make ~platform
+    ~jobs:
+      (List.mapi
+         (fun id (release, size, databank) -> Job.make ~id ~release ~size ~databank)
+         [ (0.0, 2.9, 0); (0.0, 1.7, 1); (0.3, 0.45, 0); (0.7, 3.3, 1);
+           (1.1, 0.9, 0); (1.9, 2.2, 1); (2.3, 0.35, 0); (3.1, 1.45, 1) ])
+
+let pinned_completions =
+  [ ( "Offline",
+      [| 0x1.ae91928312fc2p+0; 0x1.e59fefad178bep-1; 0x1.1851eb851eb88p-1;
+         0x1.4b81c4f1b354bp+1; 0x1.9851eb851eb86p+0; 0x1.9684e65c1716ep+1;
+         0x1.4061f172b9335p+1; 0x1.cec2f5dff80f2p+1 |] );
+    ( "Online",
+      [| 0x1.8d9f49f0cb04bp+0; 0x1.384c9cdb1c9bdp-1; 0x1.fbce90c3f1f58p-2;
+         0x1.52837f0cdfc25p+1; 0x1.94fffffebf0a1p+0; 0x1.992476d59a211p+1;
+         0x1.40ccc86f6a304p+1; 0x1.d16286597b195p+1 |] );
+    ( "Online-EDF",
+      [| 0x1.8d9f49f0cb04fp+0; 0x1.384c9cdb1c9bdp-1; 0x1.fbce90c3f1f58p-2;
+         0x1.52837f0cdfc28p+1; 0x1.94fffffebf0ap+0; 0x1.992476d59a211p+1;
+         0x1.40ccc86f6a2ffp+1; 0x1.d16286597b195p+1 |] );
+    ( "Online-EGDF",
+      [| 0x1.4333333333333p+0; 0x1.415b8a15b8a16p-1; 0x1.a666666666666p-2;
+         0x1.499999999999ap+1; 0x1.7cccccccccccdp+0; 0x1.9eeeeeeeeeefp+1;
+         0x1.3199999999999p+1; 0x1.d72cfe72cfe74p+1 |] );
+    ( "Bender98",
+      [| 0x1.7cccccccccccdp+0; 0x1.415b8a15b8a16p-1; 0x1.a666666666666p-2;
+         0x1.d72cfe72cfe74p+1; 0x1.5333333333334p+0; 0x1.53bbbbbbbbbbcp+1;
+         0x1.3199999999999p+1; 0x1.c50adc50adc51p+1 |] );
+    ( "SWRPT",
+      [| 0x1.7cccccccccccdp+0; 0x1.415b8a15b8a16p-1; 0x1.a666666666666p-2;
+         0x1.9eeeeeeeeeefp+1; 0x1.5333333333334p+0; 0x1.53bbbbbbbbbbcp+1;
+         0x1.3199999999999p+1; 0x1.d72cfe72cfe74p+1 |] );
+    ( "SRPT",
+      [| 0x1.4333333333333p+0; 0x1.415b8a15b8a16p-1; 0x1.a666666666666p-2;
+         0x1.499999999999ap+1; 0x1.7cccccccccccdp+0; 0x1.9eeeeeeeeeefp+1;
+         0x1.3199999999999p+1; 0x1.d72cfe72cfe74p+1 |] );
+    ( "SPT",
+      [| 0x1.7cccccccccccdp+0; 0x1.415b8a15b8a16p-1; 0x1.a666666666666p-2;
+         0x1.d72cfe72cfe74p+1; 0x1.5333333333334p+0; 0x1.53bbbbbbbbbbcp+1;
+         0x1.3199999999999p+1; 0x1.c50adc50adc51p+1 |] );
+    ( "Bender02",
+      [| 0x1.acccccccccccdp-1; 0x1.5a475ea475ea4p+0; 0x1.ap-1;
+         0x1.4447ae147ae14p+1; 0x1.888f5c28f5c29p+0; 0x1.9f9596de8ca12p+1;
+         0x1.4a404189374bcp+1; 0x1.d7d3a6626d996p+1 |] );
+    ( "MCT-Div",
+      [| 0x1.7333333333333p-1; 0x1.3d7a91d7a91d8p+0; 0x1.4333333333334p+0;
+         0x1.219999999999ap+1; 0x1.28p+1; 0x1.7d55555555556p+1;
+         0x1.68p+1; 0x1.c50adc50adc51p+1 |] );
+    ( "MCT",
+      [| 0x1.1d89d89d89d89p+1; 0x1.8ba2e8ba2e8bap+0; 0x1.9999999999999p-1;
+         0x1.1dddddddddddep+2; 0x1.2e8ba2e8ba2e8p+1; 0x1.f627627627626p+1;
+         0x1.5745d1745d174p+1; 0x1.1ac37dac37dacp+2 |] );
+    ( "EQUI",
+      [| 0x1.b997a6df2f8cp+0; 0x1.6f25b7c6382cfp+0; 0x1.387f1e0387f1ep-1;
+         0x1.8305569470499p+1; 0x1.c2ed55f562dc2p+0; 0x1.9c6241b877df6p+1;
+         0x1.3f49f49f49f4ap+1; 0x1.ccd596c6834e5p+1 |] );
+    ( "RR",
+      [| 0x1.7333333333333p-1; 0x1.3d7a91d7a91d8p+0; 0x1.4333333333334p+0;
+         0x1.219999999999ap+1; 0x1.28p+1; 0x1.7d55555555556p+1;
+         0x1.68p+1; 0x1.c50adc50adc51p+1 |] ) ]
+
+let test_registry_bits_pinned () =
+  let inst = pinned_instance () in
+  let hex = Array.map (Printf.sprintf "%h") in
+  List.iter
+    (fun (e : E.Sched_registry.entry) ->
+      let got =
+        (Sim.run_report_flat ~horizon:1e9 e.E.Sched_registry.scheduler inst)
+          .Sim.schedule.Schedule.completion
+        |> Array.map Option.get
+      in
+      Alcotest.(check (array string))
+        e.E.Sched_registry.name
+        (hex (List.assoc e.E.Sched_registry.name pinned_completions))
+        (hex got))
+    E.Sched_registry.registry
+
 (* ---- size-blind schedulers --------------------------------------------- *)
 
 let test_equi_processor_sharing () =
@@ -295,7 +390,7 @@ let test_equi_processor_sharing () =
         [ Job.make ~id:0 ~release:0.0 ~size:1.0 ~databank:0;
           Job.make ~id:1 ~release:0.0 ~size:1.0 ~databank:0 ]
   in
-  let sched = Sim.run ~horizon:1e9 Gripps_sched.Nonclairvoyant.equi inst in
+  let sched = run Gripps_sched.Nonclairvoyant.equi inst in
   Alcotest.(check bool) "complete" true (Schedule.all_completed sched);
   Alcotest.(check (float 1e-6)) "job 0 shares to the end" 2.0
     (Option.get sched.Schedule.completion.(0));
@@ -311,7 +406,7 @@ let test_rr_rotates () =
         [ Job.make ~id:0 ~release:0.0 ~size:1.0 ~databank:0;
           Job.make ~id:1 ~release:0.0 ~size:1.0 ~databank:0 ]
   in
-  let sched = Sim.run ~horizon:1e9 Gripps_sched.Nonclairvoyant.rr inst in
+  let sched = run Gripps_sched.Nonclairvoyant.rr inst in
   Alcotest.(check bool) "complete" true (Schedule.all_completed sched);
   Alcotest.(check (float 1e-6)) "job 0 first" 1.0
     (Option.get sched.Schedule.completion.(0));
@@ -331,7 +426,7 @@ let prop_blind_schedulers_complete =
       let inst = W.Generator.instance (Gripps_rng.Splitmix.create seed) c in
       List.for_all
         (fun s ->
-          let sched = Sim.run ~horizon:1e9 s inst in
+          let sched = run s inst in
           Schedule.validate sched = [] && Schedule.all_completed sched)
         [ Gripps_sched.Nonclairvoyant.equi;
           Gripps_sched.Nonclairvoyant.rr;
@@ -356,8 +451,7 @@ let test_runner_objectives_ride_along () =
   let r =
     E.Runner.run_instance
       ~schedulers:
-        [ Gripps_sched.List_sched.flat_srpt;
-          Gripps_sched.Legacy_adapter.flat Gripps_sched.Nonclairvoyant.equi ]
+        [ Gripps_sched.List_sched.flat_srpt; Gripps_sched.Nonclairvoyant.equi ]
       ~objectives small_config inst
   in
   Alcotest.(check int) "one measurement per scheduler" 2
@@ -443,6 +537,8 @@ let suite =
         test_registry_find_case_insensitive;
       Alcotest.test_case "registry targets and describe" `Quick
         test_registry_targets_and_describe;
+      Alcotest.test_case "every registry entry pinned bit for bit" `Quick
+        test_registry_bits_pinned;
       Alcotest.test_case "EQUI is processor sharing" `Quick
         test_equi_processor_sharing;
       Alcotest.test_case "RR rotates on quantum boundaries" `Quick

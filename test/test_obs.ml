@@ -265,7 +265,7 @@ let test_read_jsonl_strict_errors () =
 
 let run_and_replay scheduler inst =
   Obs.with_level Obs.Events (fun () ->
-      let report = Sim.run_report ~horizon:1e9 scheduler inst in
+      let report = Sim.run_report_flat ~horizon:1e9 scheduler inst in
       (* Round-trip through the serialization before replaying, so the
          property covers the JSONL encoding too. *)
       let journal =
@@ -291,7 +291,7 @@ let prop_replay_reproduces_run =
           && Schedule.all_completed replayed
           && compare report.Sim.metrics (Metrics.of_schedule replayed) = 0)
         [ Gripps_core.Online_lp.online;
-          Gripps_sched.Legacy_adapter.resort_scheduler ~name:"SWRPT"
+          Gripps_sched.List_sched.resort_scheduler ~name:"SWRPT"
             ~rule:Gripps_sched.Priority.swrpt ])
 
 let test_replay_under_faults () =

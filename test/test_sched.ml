@@ -10,7 +10,6 @@ let mk_job ?(id = 0) ?(release = 0.0) ?(size = 1.0) ?(databank = 0) () =
   Job.make ~id ~release ~size ~databank
 
 let uni = Platform.single ~speed:1.0
-let run sched inst = Sim.run ~horizon:1e7 sched inst
 let run_flat sched inst = (Sim.run_report_flat ~horizon:1e7 sched inst).Sim.schedule
 let completion sched inst j = Schedule.completion_exn (run_flat sched inst) j
 
@@ -103,15 +102,13 @@ let brute_force_best inst ~objective =
   List.iter
     (fun order ->
       let fixed =
-        Sim.stateless "fixed-order" (fun st _events ->
-            let alloc =
-              List_sched.allocate st
-                ~priority_order:(List.filter (fun j -> Sim.is_released st j
-                                                      && not (Sim.is_completed st j)) order)
-            in
-            { Sim.allocation = alloc; horizon = None })
+        Sim.flat_stateless "fixed-order" (fun st buf ->
+            List_sched.allocate st
+              ~priority_order:(List.filter (fun j -> Sim.is_released st j
+                                                    && not (Sim.is_completed st j)) order)
+              buf)
       in
-      let m = Metrics.of_schedule (run fixed inst) in
+      let m = metrics fixed inst in
       best := Float.min !best (objective m))
     (permutations (List.init n Fun.id));
   !best
@@ -167,7 +164,7 @@ let test_mct_queues_fifo () =
     Instance.make ~platform:p
       ~jobs:[ mk_job (); mk_job ~id:1 (); mk_job ~id:2 () ]
   in
-  let sched = run Greedy.mct inst in
+  let sched = run_flat Greedy.mct inst in
   Alcotest.(check (list string)) "valid" [] (Schedule.validate sched);
   Alcotest.(check (float 1e-9)) "C0" 1.0 (Schedule.completion_exn sched 0);
   Alcotest.(check (float 1e-9)) "C1" 1.0 (Schedule.completion_exn sched 1);
@@ -179,13 +176,13 @@ let test_mct_no_preemption_small_job_suffers () =
     Instance.make ~platform:uni
       ~jobs:[ mk_job ~size:100.0 (); mk_job ~id:1 ~release:1.0 ~size:1.0 () ]
   in
-  Alcotest.(check (float 1e-9)) "small job waits" 101.0 (Schedule.completion_exn (run Greedy.mct inst) 1)
+  Alcotest.(check (float 1e-9)) "small job waits" 101.0 (Schedule.completion_exn (run_flat Greedy.mct inst) 1)
 
 let test_mct_div_uses_all_machines () =
   (* One job, two machines: MCT-Div runs it on both (rate 2). *)
   let p = Platform.uniform ~speeds:[ 1.0; 1.0 ] in
   let inst = Instance.make ~platform:p ~jobs:[ mk_job ~size:4.0 () ] in
-  let sched = run Greedy.mct_div inst in
+  let sched = run_flat Greedy.mct_div inst in
   Alcotest.(check (float 1e-9)) "parallel rate" 2.0 (Schedule.completion_exn sched 0)
 
 let test_mct_div_fills_gaps_without_touching_commitments () =
@@ -195,7 +192,7 @@ let test_mct_div_fills_gaps_without_touching_commitments () =
     Instance.make ~platform:uni
       ~jobs:[ mk_job ~size:4.0 (); mk_job ~id:1 ~release:1.0 ~size:2.0 () ]
   in
-  let sched = run Greedy.mct_div inst in
+  let sched = run_flat Greedy.mct_div inst in
   Alcotest.(check (float 1e-9)) "C0 untouched" 4.0 (Schedule.completion_exn sched 0);
   Alcotest.(check (float 1e-9)) "C1 appended" 6.0 (Schedule.completion_exn sched 1);
   Alcotest.(check (list string)) "valid" [] (Schedule.validate sched)
@@ -208,7 +205,7 @@ let test_mct_div_two_machines_staggered () =
     Instance.make ~platform:p
       ~jobs:[ mk_job ~size:4.0 (); mk_job ~id:1 ~release:1.0 ~size:2.0 () ]
   in
-  let sched = run Greedy.mct_div inst in
+  let sched = run_flat Greedy.mct_div inst in
   Alcotest.(check (float 1e-9)) "C0" 2.0 (Schedule.completion_exn sched 0);
   Alcotest.(check (float 1e-9)) "C1" 3.0 (Schedule.completion_exn sched 1)
 
@@ -223,7 +220,7 @@ let prop_all_heuristics_produce_valid_schedules =
           Schedule.validate sched = [] && Schedule.all_completed sched)
         [ List_sched.flat_fcfs; List_sched.flat_spt; List_sched.flat_srpt;
           List_sched.flat_swpt; List_sched.flat_swrpt;
-          Legacy_adapter.flat Greedy.mct; Legacy_adapter.flat Greedy.mct_div ])
+          Greedy.mct; Greedy.mct_div ])
 
 let suite =
   ( "sched",
@@ -288,8 +285,8 @@ let run_engine ?faults ?loss (flat, _) inst =
     (List_sched.flat_scheduler flat) inst
 
 let run_oracle ?faults ?loss (flat, rule) inst =
-  Sim.run_report ~horizon:1e9 ?faults ?loss
-    (Legacy_adapter.resort_scheduler ~name:(List_sched.rule_name flat) ~rule)
+  Sim.run_report_flat ~horizon:1e9 ?faults ?loss
+    (List_sched.resort_scheduler ~name:(List_sched.rule_name flat) ~rule)
     inst
 
 (* A generated workload (restricted databank availability and all), or
