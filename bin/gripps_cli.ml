@@ -755,7 +755,9 @@ let serve_cmd =
       value
       & opt (some string) None
       & info [ "journal-dir" ] ~docv:"DIR"
-          ~doc:"Rotate the event journal to JSONL segments under $(docv).")
+          ~doc:
+            "Journal every event as JSONL, appended at each checkpoint to \
+             segments under $(docv).")
   in
   let seg_limit_t =
     Arg.(
@@ -925,7 +927,7 @@ let serve_cmd =
        ~doc:
          "Run the crash-safe streaming scheduler daemon over a job source: \
           bounded-memory admission (drop/block/shed), periodic atomic \
-          checkpoints, journal rotation, and --resume to continue a killed \
+          checkpoints, journal segments, and --resume to continue a killed \
           run bit-identically.")
     Term.(
       ret

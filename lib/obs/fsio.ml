@@ -30,13 +30,15 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* FNV-1a over bytes; OCaml's native int is 63-bit so the fold runs on
-   Int64 and renders the full 64-bit digest. *)
+   Int64 and renders the full 64-bit digest.  The accumulator is a local
+   ref no closure captures, so the compiler keeps it unboxed in a
+   register: the fold allocates nothing per byte. *)
 let fnv64 s =
-  let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
   Printf.sprintf "%016Lx" !h

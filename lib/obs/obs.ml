@@ -65,8 +65,6 @@ type dstate = {
   mutable depth : int;
   mutable jbuf : event array;
   mutable jlen : int;
-  mutable jbase : int;  (* absolute position of jbuf.(0): events rotated or
-                           truncated away keep later positions stable *)
   mutable sink : (event -> unit) option;
 }
 
@@ -78,7 +76,6 @@ let fresh_dstate ~lvl ~clock =
     depth = 0;
     jbuf = Array.make 256 dummy_event;
     jlen = 0;
-    jbase = 0;
     sink = None }
 
 (* A spawned domain inherits its parent's verbosity level and clock (so
@@ -308,88 +305,204 @@ module Journal = struct
     if level_rank s.lvl >= 2 then journal_push s e
 
   let set_sink sk = (st ()).sink <- sk
-  let position () = let s = st () in s.jbase + s.jlen
 
-  (* Positions are absolute (monotone across rotations).  A mark that has
-     been rotated or truncated away is clamped to the oldest retained
-     event, mirroring the pre-rotation tolerance for a mid-run [clear]. *)
+  let forward e = match (st ()).sink with Some f -> f e | None -> ()
+
+  let position () = (st ()).jlen
+
+  (* A mark past the end (the journal was cleared since) is clamped:
+     only what is still buffered comes back. *)
   let since k =
     let s = st () in
-    let from = min (max k s.jbase) (s.jbase + s.jlen) in
-    Array.to_list (Array.sub s.jbuf (from - s.jbase) (s.jbase + s.jlen - from))
+    let from = min (max k 0) s.jlen in
+    Array.to_list (Array.sub s.jbuf from (s.jlen - from))
 
   let events () = since 0
 
-  let clear () =
-    let s = st () in
-    s.jlen <- 0;
-    s.jbase <- 0
-
-  let truncate_before k =
-    let s = st () in
-    let k = min (max k s.jbase) (s.jbase + s.jlen) in
-    let d = k - s.jbase in
-    if d > 0 then begin
-      Array.blit s.jbuf d s.jbuf 0 (s.jlen - d);
-      (* Release the dropped slots so rotated events can be collected. *)
-      Array.fill s.jbuf (s.jlen - d) d dummy_event;
-      s.jlen <- s.jlen - d;
-      s.jbase <- k
-    end
-
-  let rotate () =
-    let evs = events () in
-    truncate_before (position ());
-    evs
+  let clear () = (st ()).jlen <- 0
 
   (* -- JSON writing.  17 significant digits round-trip every finite
      double; non-finite floats are encoded as null / signed sentinels. -- *)
 
-  let add_float buf f =
-    if Float.is_nan f then Buffer.add_string buf "null"
-    else if f = Float.infinity then Buffer.add_string buf "1e999"
-    else if f = Float.neg_infinity then Buffer.add_string buf "-1e999"
-    else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+  module Writer = struct
+    (* The memo pairs the last float sent to [format_float] with its
+       digits, the float in an unboxed one-cell array (a mutable float
+       field of this record would box on every store).  The initial pair
+       (+0.0, "0") is consistent, and the int path intercepts +0.0
+       before the memo is consulted. *)
+    type t = { buf : Buffer.t; memo : float array; mutable memo_s : string }
 
-  let add_string buf s =
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
+    let create () = { buf = Buffer.create 256; memo = [| 0.0 |]; memo_s = "0" }
+    let buffer w = w.buf
+
+    (* Digits of [m <= 0], most significant first.  Working on the
+       non-positive side covers [min_int], whose negation overflows. *)
+    let rec neg_digits b m =
+      if m <= -10 then neg_digits b (m / 10);
+      Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+
+    let int w n =
+      if n < 0 then begin
+        Buffer.add_char w.buf '-';
+        neg_digits w.buf n
+      end
+      else neg_digits w.buf (-n)
+
+    (* What [Printf.sprintf "%.17g"] calls once it has parsed its format
+       (CamlinternalFormat.convert_float): C's [%.17g] of the double. *)
+    external format_float : string -> float -> string = "caml_format_float"
+
+    let two53 = 9007199254740992.0
+
+    (* An integral double below 2^53 in magnitude has at most 16 digits,
+       so [%.17g] prints it in fixed notation without a fraction: its
+       digits are the int's.  -0.0 prints as "-0" and keeps the general
+       path. *)
+    let float17 w x =
+      if
+        Float.abs x < two53
+        && Float.of_int (Float.to_int x) = x
+        && not (x = 0.0 && Float.sign_bit x)
+      then int w (Float.to_int x)
+      else begin
+        if
+          not
+            (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float w.memo.(0)))
+        then begin
+          w.memo.(0) <- x;
+          w.memo_s <- format_float "%.17g" x
+        end;
+        Buffer.add_string w.buf w.memo_s
+      end
+
+    let float w x =
+      if Float.is_nan x then Buffer.add_string w.buf "null"
+      else if x = Float.infinity then Buffer.add_string w.buf "1e999"
+      else if x = Float.neg_infinity then Buffer.add_string w.buf "-1e999"
+      else float17 w x
+
+    let string w s =
+      let b = w.buf in
+      Buffer.add_char b '"';
+      for i = 0 to String.length s - 1 do
+        match String.unsafe_get s i with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
         | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c
+      done;
+      Buffer.add_char b '"'
 
-  let add_alloc buf (a : alloc) =
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i (m, shares) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "[%d,[" m);
-        List.iteri
-          (fun k (j, share) ->
-            if k > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "[%d," j);
-            add_float buf share;
-            Buffer.add_char buf ']')
-          shares;
-        Buffer.add_string buf "]]")
-      a;
-    Buffer.add_char buf ']'
+    let rec shares w first = function
+      | [] -> ()
+      | (j, share) :: rest ->
+        if not first then Buffer.add_char w.buf ',';
+        Buffer.add_char w.buf '[';
+        int w j;
+        Buffer.add_char w.buf ',';
+        float w share;
+        Buffer.add_char w.buf ']';
+        shares w false rest
 
-  let kind_name = function
-    | Arrival -> "arrival"
-    | Completion -> "completion"
-    | Boundary -> "boundary"
-    | Failure -> "failure"
-    | Recovery -> "recovery"
+    let rec machines w first = function
+      | [] -> ()
+      | (m, sh) :: rest ->
+        if not first then Buffer.add_char w.buf ',';
+        Buffer.add_char w.buf '[';
+        int w m;
+        Buffer.add_string w.buf ",[";
+        shares w true sh;
+        Buffer.add_string w.buf "]]";
+        machines w false rest
+
+    let alloc w (a : alloc) =
+      Buffer.add_char w.buf '[';
+      machines w true a;
+      Buffer.add_char w.buf ']'
+
+    let kind_name = function
+      | Arrival -> "arrival"
+      | Completion -> "completion"
+      | Boundary -> "boundary"
+      | Failure -> "failure"
+      | Recovery -> "recovery"
+
+    let record w e =
+      let b = w.buf in
+      match e with
+      | Run_start { scheduler; jobs; machines } ->
+        Buffer.add_string b "{\"type\":\"run_start\",\"scheduler\":";
+        string w scheduler;
+        Buffer.add_string b ",\"jobs\":";
+        int w jobs;
+        Buffer.add_string b ",\"machines\":";
+        int w machines;
+        Buffer.add_char b '}'
+      | Sim_event { time; kind; subject } ->
+        Buffer.add_string b "{\"type\":\"event\",\"kind\":\"";
+        Buffer.add_string b (kind_name kind);
+        Buffer.add_string b "\",\"time\":";
+        float w time;
+        Buffer.add_string b ",\"subject\":";
+        int w subject;
+        Buffer.add_char b '}'
+      | Replan { time; scheduler; allocation; horizon } ->
+        Buffer.add_string b "{\"type\":\"replan\",\"time\":";
+        float w time;
+        Buffer.add_string b ",\"scheduler\":";
+        string w scheduler;
+        Buffer.add_string b ",\"alloc\":";
+        alloc w allocation;
+        Buffer.add_string b ",\"horizon\":";
+        (match horizon with
+         | None -> Buffer.add_string b "null"
+         | Some h -> float w h);
+        Buffer.add_char b '}'
+      | Segment { start_time; end_time; shares } ->
+        Buffer.add_string b "{\"type\":\"segment\",\"start\":";
+        float w start_time;
+        Buffer.add_string b ",\"end\":";
+        float w end_time;
+        Buffer.add_string b ",\"shares\":";
+        alloc w shares;
+        Buffer.add_char b '}'
+      | Probe { pipeline; stretch; feasible } ->
+        Buffer.add_string b "{\"type\":\"probe\",\"pipeline\":";
+        string w pipeline;
+        Buffer.add_string b ",\"stretch\":";
+        float w stretch;
+        Buffer.add_string b (if feasible then ",\"feasible\":true}" else ",\"feasible\":false}")
+      | Span_closed { name; depth; start_s; dur_s } ->
+        Buffer.add_string b "{\"type\":\"span\",\"name\":";
+        string w name;
+        Buffer.add_string b ",\"depth\":";
+        int w depth;
+        Buffer.add_string b ",\"start\":";
+        float w start_s;
+        Buffer.add_string b ",\"dur\":";
+        float w dur_s;
+        Buffer.add_char b '}'
+      | Note { key; value } ->
+        Buffer.add_string b "{\"type\":\"note\",\"key\":";
+        string w key;
+        Buffer.add_string b ",\"value\":";
+        string w value;
+        Buffer.add_char b '}'
+      | Run_end { time; completed } ->
+        Buffer.add_string b "{\"type\":\"run_end\",\"time\":";
+        float w time;
+        Buffer.add_string b ",\"completed\":";
+        int w completed;
+        Buffer.add_char b '}'
+
+    let line w e =
+      record w e;
+      Buffer.add_char w.buf '\n'
+  end
 
   let kind_of_name = function
     | "arrival" -> Some Arrival
@@ -400,62 +513,9 @@ module Journal = struct
     | _ -> None
 
   let to_json e =
-    let buf = Buffer.create 128 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    (match e with
-     | Run_start { scheduler; jobs; machines } ->
-       add "{\"type\":\"run_start\",\"scheduler\":";
-       add_string buf scheduler;
-       add ",\"jobs\":%d,\"machines\":%d}" jobs machines
-     | Sim_event { time; kind; subject } ->
-       add "{\"type\":\"event\",\"kind\":\"%s\",\"time\":" (kind_name kind);
-       add_float buf time;
-       add ",\"subject\":%d}" subject
-     | Replan { time; scheduler; allocation; horizon } ->
-       add "{\"type\":\"replan\",\"time\":";
-       add_float buf time;
-       add ",\"scheduler\":";
-       add_string buf scheduler;
-       add ",\"alloc\":";
-       add_alloc buf allocation;
-       add ",\"horizon\":";
-       (match horizon with
-        | None -> add "null"
-        | Some h -> add_float buf h);
-       add "}"
-     | Segment { start_time; end_time; shares } ->
-       add "{\"type\":\"segment\",\"start\":";
-       add_float buf start_time;
-       add ",\"end\":";
-       add_float buf end_time;
-       add ",\"shares\":";
-       add_alloc buf shares;
-       add "}"
-     | Probe { pipeline; stretch; feasible } ->
-       add "{\"type\":\"probe\",\"pipeline\":";
-       add_string buf pipeline;
-       add ",\"stretch\":";
-       add_float buf stretch;
-       add ",\"feasible\":%b}" feasible
-     | Span_closed { name; depth; start_s; dur_s } ->
-       add "{\"type\":\"span\",\"name\":";
-       add_string buf name;
-       add ",\"depth\":%d,\"start\":" depth;
-       add_float buf start_s;
-       add ",\"dur\":";
-       add_float buf dur_s;
-       add "}"
-     | Note { key; value } ->
-       add "{\"type\":\"note\",\"key\":";
-       add_string buf key;
-       add ",\"value\":";
-       add_string buf value;
-       add "}"
-     | Run_end { time; completed } ->
-       add "{\"type\":\"run_end\",\"time\":";
-       add_float buf time;
-       add ",\"completed\":%d}" completed);
-    Buffer.contents buf
+    let w = Writer.create () in
+    Writer.record w e;
+    Buffer.contents w.Writer.buf
 
   (* -- Minimal JSON reader, sufficient for lines [to_json] emits. -- *)
 
@@ -676,23 +736,21 @@ module Journal = struct
          | _ -> None
        with Parse_error | Not_found -> None)
 
-  let write_jsonl_gen ~append ~path events =
-    let oc =
-      if append then
-        open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path
-      else open_out path
-    in
+  let write_jsonl ~path events =
+    let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
+        let w = Writer.create () in
         List.iter
           (fun e ->
-            output_string oc (to_json e);
-            output_char oc '\n')
-          events)
-
-  let write_jsonl ~path events = write_jsonl_gen ~append:false ~path events
-  let append_jsonl ~path events = write_jsonl_gen ~append:true ~path events
+            Writer.line w e;
+            if Buffer.length w.Writer.buf >= 65536 then begin
+              Buffer.output_buffer oc w.Writer.buf;
+              Buffer.clear w.Writer.buf
+            end)
+          events;
+        Buffer.output_buffer oc w.Writer.buf)
 
   let read_jsonl ~path =
     let ic = open_in path in
@@ -791,7 +849,7 @@ module Export = struct
     { m_cells = Array.copy s.cells;
       m_polls = poll_values ();
       m_spans = span_values ();
-      m_jpos = s.jbase + s.jlen }
+      m_jpos = s.jlen }
 
   let stop mark =
     let s = st () in
@@ -827,12 +885,12 @@ module Export = struct
         (span_values ())
     in
     (* Clamp like {!Journal.since}: a mark invalidated by a mid-shard
-       clear or rotation exports the retained suffix. *)
-    let jpos = min (max mark.m_jpos s.jbase) (s.jbase + s.jlen) in
+       clear exports the retained suffix. *)
+    let jpos = min (max mark.m_jpos 0) s.jlen in
     { e_counters = deltas;
       e_polls = delta_polls;
       e_spans = delta_spans;
-      e_journal = Array.sub s.jbuf (jpos - s.jbase) (s.jbase + s.jlen - jpos) }
+      e_journal = Array.sub s.jbuf jpos (s.jlen - jpos) }
 
   let merge e =
     let s = st () in

@@ -174,52 +174,77 @@ module Journal : sig
   (** Append to the journal ({!on} permitting) and forward to the sink. *)
 
   val set_sink : (event -> unit) option -> unit
-  (** Streaming sink called on every recorded event (e.g. incremental
-      JSONL writing); [None] disables. *)
+  (** Streaming sink called on every event {!record}ed or {!forward}ed
+      in this domain (e.g. to count records); [None] disables. *)
+
+  val forward : event -> unit
+  (** Hand the event to the sink only: nothing is stored, at any level.
+      For callers that keep their own journal — the streaming daemon
+      encodes its records straight into segment files with a {!Writer}
+      and forwards each one here. *)
 
   val position : unit -> int
-  (** Current absolute position — marks a point to {!since} from.
-      Monotone across {!rotate}/{!truncate_before}, so a mark taken
-      before a rotation still addresses the right suffix. *)
+  (** Current position in the buffered journal — marks a point to
+      {!since} from. *)
 
   val since : int -> event list
   (** Events recorded after the given {!position}, in order.  A position
-      older than the oldest retained event (rotated or truncated away)
-      is clamped: only what is still buffered comes back. *)
+      past the end (the journal was {!clear}ed since) is clamped: only
+      what is still buffered comes back. *)
 
   val events : unit -> event list
 
   val clear : unit -> unit
   (** Drop everything and reset {!position} to 0. *)
 
-  val truncate_before : int -> unit
-  (** Drop every buffered event before the given absolute position
-      (clamped to the buffered range).  Later events keep their
-      positions: this is the memory-bounding primitive of long-running
-      runs — journal a window, persist it, truncate it away. *)
-
-  val rotate : unit -> event list
-  (** Atomically take the whole buffered window and truncate it away:
-      returns the events in order, leaves the buffer empty, and leaves
-      {!position} unchanged (it keeps counting from where it was).  The
-      streaming-service daemon calls this at every checkpoint to spill
-      the window to an on-disk segment, keeping resident journal memory
-      O(window), not O(run). *)
-
   (** {2 JSONL}
 
-      One JSON object per line.  Floats are printed with 17 significant
-      digits, so every finite double round-trips bit-identically. *)
+      One JSON object per line.  Floats are printed as C's [%.17g]
+      prints them, so every finite double round-trips bit-identically;
+      NaN is written [null] and the infinities [1e999] / [-1e999]. *)
+
+  (** An encoder that appends JSONL to a buffer it owns.  It carries its
+      own state (the buffer and a one-entry memo of the last float it
+      formatted) and nothing else: a writer belongs to its caller, so
+      writers in different domains never meet.  No [Printf] format is
+      interpreted per field: ints are written digit by digit, integral
+      floats below 2{^53} through the int path, and every other float
+      through the C primitive [Printf "%.17g"] itself ends in, skipped
+      when the float equals the last one formatted. *)
+  module Writer : sig
+    type t
+
+    val create : unit -> t
+
+    val buffer : t -> Buffer.t
+    (** The bytes written so far.  The caller drains it when it likes
+        ([Buffer.output_buffer], [Buffer.clear]); the memo does not
+        depend on it. *)
+
+    val int : t -> int -> unit
+    (** Append [string_of_int n]. *)
+
+    val float17 : t -> float -> unit
+    (** Append [Printf.sprintf "%.17g" x], for every [x] (NaN and the
+        infinities print as [Printf] prints them). *)
+
+    val float : t -> float -> unit
+    (** Append a JSON number: [null] for NaN, [1e999] / [-1e999] for the
+        infinities, otherwise {!float17}. *)
+
+    val line : t -> event -> unit
+    (** Append one record and its newline: [to_json e ^ "\n"]. *)
+  end
 
   val to_json : event -> string
+  (** One record, without its newline, through a fresh {!Writer}. *)
+
   val of_json : string -> event option
   (** Parse a line emitted by {!to_json}; [None] on malformed input. *)
 
   val write_jsonl : path:string -> event list -> unit
-
-  val append_jsonl : path:string -> event list -> unit
-  (** Like {!write_jsonl} but appends (creating the file if absent) —
-      the segment-spilling primitive of rotated journals. *)
+  (** Write the events to [path], one {!Writer.line} each, through one
+      writer whose buffer is drained every 64 KiB. *)
 
   val read_jsonl : path:string -> event list
   (** @raise Sys_error on unreadable files; malformed lines are

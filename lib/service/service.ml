@@ -230,9 +230,17 @@ type daemon = {
   mutable peak_live : int;
   mutable peak_queue : int;
   mutable deadline_misses : int;
-  (* on-disk journal segments *)
-  mutable seg_index : int;
-  mutable seg_lines : int;
+  (* journal: records are encoded into [jw] as they are made and
+     appended to on-disk segments at each checkpoint *)
+  journaling : bool;                  (* [cfg.journal_dir] is set *)
+  jw : J.Writer.t;                    (* the window since the last flush *)
+  rolls : int Vec.t;                  (* byte offsets in [jw] where a new
+                                         segment starts *)
+  mutable seg_index : int;            (* segment of the last record *)
+  mutable seg_lines : int;            (* records in it *)
+  (* checkpoints *)
+  fp : string;                        (* [fingerprint cfg] *)
+  ckw : J.Writer.t;                   (* payload, reused *)
   (* wall-clock observables: never checkpointed *)
   lat_hist : int array;
   mutable lat_count : int;
@@ -280,7 +288,10 @@ let make_daemon cfg src =
     acc = Array.make 5 0.0;
     admitted = 0; enqueued = 0; dropped = 0; shed = 0;
     peak_live = 0; peak_queue = 0; deadline_misses = 0;
+    journaling = cfg.journal_dir <> None;
+    jw = J.Writer.create (); rolls = Vec.create ();
     seg_index = 0; seg_lines = 0;
+    fp = fingerprint cfg; ckw = J.Writer.create ();
     lat_hist = Array.make lat_bins 0; lat_count = 0 }
 
 (* The live plan as an allocation list, slots mapped to external
@@ -320,88 +331,123 @@ let read_journal ~dir =
   segment_files ~dir
   |> List.concat_map (fun path -> J.read_jsonl_strict ~path)
 
-let rec take_at_most n = function
-  | [] -> ([], [])
-  | l when n <= 0 -> ([], l)
-  | x :: rest ->
-    let a, b = take_at_most (n - 1) rest in
-    (x :: a, b)
+(* Journal one record: encode it into the window at once, so nothing
+   boxed outlives the step that made it, and hand it to the domain's
+   sink.  The roll rule lives here: a record that finds the current
+   segment holding [seg_limit] lines opens the next one, and the window
+   notes the byte offset where that segment starts.  The roll points are
+   a pure function of the record sequence, so an uninterrupted run and a
+   resumed one cut identical segments. *)
+let log d e =
+  if d.seg_lines >= d.cfg.seg_limit then begin
+    Vec.push d.rolls (Buffer.length (J.Writer.buffer d.jw));
+    d.seg_index <- d.seg_index + 1;
+    d.seg_lines <- 0
+  end;
+  J.Writer.line d.jw e;
+  d.seg_lines <- d.seg_lines + 1;
+  J.forward e
 
-(* Spill the whole in-memory journal window to segment files, rolling to
-   the next segment whenever the current one reaches [seg_limit] — the
-   roll points are a pure function of the event sequence, so an
-   uninterrupted run and a resumed one cut identical segments. *)
+let append_segment dir i write =
+  let oc =
+    open_out_gen [ Open_wronly; Open_creat; Open_append; Open_binary ] 0o644
+      (seg_path dir i)
+  in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc)
+
+(* Append the window's bytes to the segment files and empty it.  Only a
+   window that crosses a roll is copied out of the buffer, to be cut at
+   the roll offsets. *)
 let flush_journal d =
   match d.cfg.journal_dir with
   | None -> ()
   | Some dir ->
-    let rec spill evs =
-      if evs <> [] then begin
-        if d.seg_lines >= d.cfg.seg_limit then begin
-          d.seg_index <- d.seg_index + 1;
-          d.seg_lines <- 0
-        end;
-        let batch, rest = take_at_most (d.cfg.seg_limit - d.seg_lines) evs in
-        J.append_jsonl ~path:(seg_path dir d.seg_index) batch;
-        d.seg_lines <- d.seg_lines + List.length batch;
-        spill rest
-      end
-    in
-    spill (J.rotate ())
+    let b = J.Writer.buffer d.jw in
+    let nrolls = Vec.length d.rolls in
+    if nrolls = 0 then begin
+      if Buffer.length b > 0 then
+        append_segment dir d.seg_index (fun oc -> Buffer.output_buffer oc b)
+    end
+    else begin
+      let s = Buffer.contents b in
+      let first = d.seg_index - nrolls in
+      let rec go r pos =
+        let stop = if r < nrolls then Vec.get d.rolls r else String.length s in
+        (* empty only when the window's first record rolled *)
+        if stop > pos then
+          append_segment dir (first + r) (fun oc ->
+              output_substring oc s pos (stop - pos));
+        if r < nrolls then go (r + 1) stop
+      in
+      go 0 0
+    end;
+    Buffer.clear b;
+    Vec.clear d.rolls
 
 (* ---- checkpoint format ------------------------------------------------- *)
 
 let ckpt_magic = "gripps-ckpt"
 let ckpt_version = 1
 
+(* The payload goes through the journal's int and float emitters into
+   the daemon's reused buffer: the bytes [Printf]'s ["%d"] and
+   ["%.17g"] wrote, without a format interpretation per field. *)
 let serialize d =
-  let k = d.kern in
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "now %.17g\n" k.Kernel.clock.(0);
-  pf "counts %d %d %d %d\n" d.events d.replans d.checkpoints d.deadline_misses;
-  pf "metrics %d %.17g %.17g %.17g %.17g %.17g %.17g\n" d.completed
-    d.acc.(m_sum_stretch) d.acc.(m_max_stretch) d.acc.(m_sum_flow)
-    d.acc.(m_max_flow) d.acc.(m_makespan) k.Kernel.lost_acc.(0);
-  pf "admission %d %d %d %d %d %d\n" d.admitted d.enqueued d.dropped d.shed
-    d.peak_live d.peak_queue;
-  pf "source %d %.17g\n" (Source.cursor d.src) (Source.clock d.src);
-  Buffer.add_string b "up";
-  Array.iter (fun u -> pf " %d" (if u then 1 else 0)) k.Kernel.up;
-  Buffer.add_char b '\n';
-  pf "faults %d\n" (List.length k.Kernel.trace);
+  let k = d.kern and w = d.ckw in
+  let b = J.Writer.buffer w in
+  Buffer.clear b;
+  let tag t = Buffer.add_string b t in
+  let int i = Buffer.add_char b ' '; J.Writer.int w i in
+  let flt x = Buffer.add_char b ' '; J.Writer.float17 w x in
+  let nl () = Buffer.add_char b '\n' in
+  tag "now"; flt k.Kernel.clock.(0); nl ();
+  tag "counts"; int d.events; int d.replans; int d.checkpoints;
+  int d.deadline_misses; nl ();
+  tag "metrics"; int d.completed;
+  flt d.acc.(m_sum_stretch); flt d.acc.(m_max_stretch); flt d.acc.(m_sum_flow);
+  flt d.acc.(m_max_flow); flt d.acc.(m_makespan); flt k.Kernel.lost_acc.(0);
+  nl ();
+  tag "admission"; int d.admitted; int d.enqueued; int d.dropped; int d.shed;
+  int d.peak_live; int d.peak_queue; nl ();
+  tag "source"; int (Source.cursor d.src); flt (Source.clock d.src); nl ();
+  tag "up";
+  Array.iter (fun u -> int (if u then 1 else 0)) k.Kernel.up;
+  nl ();
+  tag "faults"; int (List.length k.Kernel.trace); nl ();
   List.iter
     (fun (e : Fault.edge) ->
-      pf "fault %.17g %d %d\n" e.Fault.time e.Fault.machine
-        (if e.Fault.up then 1 else 0))
+      tag "fault"; flt e.Fault.time; int e.Fault.machine;
+      int (if e.Fault.up then 1 else 0); nl ())
     k.Kernel.trace;
-  pf "live %d\n" d.live;
+  tag "live"; int d.live; nl ();
   for s = 0 to d.cfg.max_live - 1 do
-    if d.ext.(s) >= 0 then
-      pf "slot %d %d %.17g %.17g %d %.17g\n" s d.ext.(s) d.release.(s)
-        k.Kernel.size.(s) d.db.(s) k.Kernel.remaining.(s)
+    if d.ext.(s) >= 0 then begin
+      tag "slot"; int s; int d.ext.(s); flt d.release.(s);
+      flt k.Kernel.size.(s); int d.db.(s); flt k.Kernel.remaining.(s); nl ()
+    end
   done;
-  pf "free %d" (Vec.length d.free_slots);
-  Vec.iter (fun s -> pf " %d" s) d.free_slots;
-  Buffer.add_char b '\n';
-  pf "queue %d\n" d.q_len;
+  tag "free"; int (Vec.length d.free_slots);
+  Vec.iter int d.free_slots;
+  nl ();
+  tag "queue"; int d.q_len; nl ();
   for i = 0 to d.q_len - 1 do
     let j = (d.q_head + i) mod Array.length d.qe in
-    pf "qitem %d %.17g %.17g %d\n" d.qe.(j) d.qr.(j) d.qw.(j) d.qd.(j)
+    tag "qitem"; int d.qe.(j); flt d.qr.(j); flt d.qw.(j); int d.qd.(j); nl ()
   done;
   (* Canonical order, so checkpoints written before and after the
      flat-plan change are byte-identical. *)
-  pf "plan %d\n" (Pb.runs k.Kernel.plan);
-  for i = 0 to Pb.runs k.Kernel.plan - 1 do
-    let len = Pb.run_length k.Kernel.plan i in
-    pf "pentry %d %d" (Pb.run_machine k.Kernel.plan i) len;
+  let plan = k.Kernel.plan in
+  tag "plan"; int (Pb.runs plan); nl ();
+  for i = 0 to Pb.runs plan - 1 do
+    let len = Pb.run_length plan i in
+    tag "pentry"; int (Pb.run_machine plan i); int len;
     for e = 0 to len - 1 do
-      pf " %d %.17g" (Pb.entry_job k.Kernel.plan i e)
-        (Pb.entry_share k.Kernel.plan i e)
+      int (Pb.entry_job plan i e);
+      flt (Pb.entry_share plan i e)
     done;
-    Buffer.add_char b '\n'
+    nl ()
   done;
-  pf "jseg %d %d\n" d.seg_index d.seg_lines;
+  tag "jseg"; int d.seg_index; int d.seg_lines; nl ();
   Buffer.contents b
 
 let write_checkpoint d =
@@ -412,8 +458,8 @@ let write_checkpoint d =
     Obs.Counter.incr c_checkpoints;
     let payload = serialize d in
     let header =
-      Printf.sprintf "%s %d %s %d %s\n" ckpt_magic ckpt_version
-        (fingerprint d.cfg) (String.length payload) (Fsio.fnv64 payload)
+      Printf.sprintf "%s %d %s %d %s\n" ckpt_magic ckpt_version d.fp
+        (String.length payload) (Fsio.fnv64 payload)
     in
     Fsio.write_atomic ~path (header ^ payload);
     d.since_ckpt <- 0
@@ -665,7 +711,7 @@ let restore cfg path make_source =
   d.since_ckpt <- 0;
   d
 
-(* Discard journal events the killed run spilled past its last
+(* Discard journal records the killed run appended past its last
    checkpoint: segments after the recorded one are deleted, the recorded
    one is truncated to the recorded line count. *)
 let truncate_segments d =
@@ -695,7 +741,7 @@ let truncate_segments d =
       if List.length lines < d.seg_lines then
         failwith (Printf.sprintf "%s: checkpoint expects %d journal records, found %d"
                     path d.seg_lines (List.length lines));
-      let keep, _ = take_at_most d.seg_lines lines in
+      let keep = List.filteri (fun i _ -> i < d.seg_lines) lines in
       Fsio.write_atomic ~path (String.concat "\n" keep ^ "\n")
     end
 
@@ -725,8 +771,8 @@ let admit_live d ~ext ~databank =
   if d.live > d.peak_live then d.peak_live <- d.live;
   d.admitted <- d.admitted + 1;
   Obs.Counter.incr c_admitted;
-  if J.on () then
-    J.record
+  if d.journaling then
+    log d
       (J.Sim_event
          { time = d.kern.Kernel.clock.(0); kind = J.Arrival; subject = ext })
 
@@ -741,8 +787,8 @@ let enqueue d ~ext ~db =
   if d.q_len > d.peak_queue then d.peak_queue <- d.q_len;
   d.enqueued <- d.enqueued + 1;
   Obs.Counter.incr c_enqueued;
-  if J.on () then
-    J.record (J.Note { key = "serve.enqueue"; value = string_of_int ext })
+  if d.journaling then
+    log d (J.Note { key = "serve.enqueue"; value = string_of_int ext })
 
 (* Shed: evict the largest pending job (ties to the most recent) to make
    room for the newcomer.  Recursive scan with explicit arguments (a
@@ -770,8 +816,8 @@ let shed_largest d =
   d.q_len <- d.q_len - 1;
   d.shed <- d.shed + 1;
   Obs.Counter.incr c_shed;
-  if J.on () then
-    J.record (J.Note { key = "serve.shed"; value = string_of_int victim_ext })
+  if d.journaling then
+    log d (J.Note { key = "serve.shed"; value = string_of_int victim_ext })
 
 (* Consume every due source item the policy allows.  Each consumed item
    becomes exactly one event (admission, enqueue, drop or shed+enqueue),
@@ -800,8 +846,8 @@ let rec pop_arrivals d =
         | Drop ->
           d.dropped <- d.dropped + 1;
           Obs.Counter.incr c_dropped;
-          if J.on () then
-            J.record (J.Note { key = "serve.drop"; value = string_of_int ext })
+          if d.journaling then
+            log d (J.Note { key = "serve.drop"; value = string_of_int ext })
         | Shed when d.q_len > 0 ->
           shed_largest d;
           enqueue d ~ext ~db:databank
@@ -810,8 +856,8 @@ let rec pop_arrivals d =
              degenerates to dropping the newcomer *)
           d.dropped <- d.dropped + 1;
           Obs.Counter.incr c_dropped;
-          if J.on () then
-            J.record (J.Note { key = "serve.drop"; value = string_of_int ext })
+          if d.journaling then
+            log d (J.Note { key = "serve.drop"; value = string_of_int ext })
       end;
       d.batch <- d.batch + 1;
       pop_arrivals d
@@ -847,8 +893,8 @@ let replan d =
   Kernel.load_rates k;
   d.replans <- d.replans + 1;
   Obs.Counter.incr c_replans;
-  if J.on () then
-    J.record
+  if d.journaling then
+    log d
       (J.Replan
          { time = k.Kernel.clock.(0); scheduler = rule_name d.cfg.rule;
            allocation = plan_ext_allocation d; horizon = None });
@@ -871,8 +917,8 @@ let step d =
   Kernel.load_lost_rates k;
   if dt > 0.0 && Kernel.any_live_run k 0 then begin
     Obs.Counter.incr c_segments;
-    if J.on () then
-      J.record
+    if d.journaling then
+      log d
         (J.Segment
            { start_time = k.Kernel.clock.(0); end_time = t_next;
              shares = plan_ext_allocation ~skip_crashing:true d })
@@ -896,8 +942,8 @@ let step d =
     d.acc.(m_sum_stretch) <- d.acc.(m_sum_stretch) +. stretch;
     if stretch > d.acc.(m_max_stretch) then d.acc.(m_max_stretch) <- stretch;
     if t > d.acc.(m_makespan) then d.acc.(m_makespan) <- t;
-    if J.on () then
-      J.record (J.Sim_event { time = t; kind = J.Completion; subject = e });
+    if d.journaling then
+      log d (J.Sim_event { time = t; kind = J.Completion; subject = e });
     List_sched.remove d.eng s;
     d.ext.(s) <- -1;
     Vec.push d.free_slots s;
@@ -907,8 +953,8 @@ let step d =
   Kernel.pop_faults k;
   for i = 0 to Vec.length k.Kernel.flips - 1 do
     let v = Vec.get k.Kernel.flips i in
-    if J.on () then
-      J.record
+    if d.journaling then
+      log d
         (J.Sim_event
            { time = k.Kernel.clock.(0);
              kind = (if v land 1 = 1 then J.Recovery else J.Failure);
@@ -1030,33 +1076,31 @@ let loop d ~stop_after_events =
   (match outcome with
    | Killed -> ()  (* a kill flushes nothing: that is the point *)
    | Drained | Horizon_reached ->
-     if outcome = Drained && J.on () then
-       J.record
+     if outcome = Drained && d.journaling then
+       log d
          (J.Run_end { time = k.Kernel.clock.(0); completed = d.completed });
      flush_journal d;
      if d.cfg.checkpoint <> None then write_checkpoint d;
      Source.close d.src);
   report_of d outcome
 
-let with_journaling cfg f =
+let make_journal_dir cfg =
   match cfg.journal_dir with
-  | None -> f ()
-  | Some dir ->
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-    Obs.with_level Obs.Events f
+  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
+  | Some _ | None -> ()
 
 let run ?stop_after_events cfg src =
-  with_journaling cfg (fun () ->
-      (match cfg.journal_dir with
-       | None -> ()
-       | Some dir ->
-         (* a fresh daemon owns the directory: stale segments from a
-            previous run must not be mistaken for this run's journal *)
-         List.iter Sys.remove (segment_files ~dir);
-         J.clear ();
-         J.record (J.Note { key = "serve.start"; value = cfg.source_desc }));
-      let d = make_daemon cfg src in
-      loop d ~stop_after_events)
+  make_journal_dir cfg;
+  (match cfg.journal_dir with
+   | Some dir ->
+     (* a fresh daemon owns the directory: stale segments from a
+        previous run must not be mistaken for this run's journal *)
+     List.iter Sys.remove (segment_files ~dir)
+   | None -> ());
+  let d = make_daemon cfg src in
+  if d.journaling then
+    log d (J.Note { key = "serve.start"; value = cfg.source_desc });
+  loop d ~stop_after_events
 
 let resume ?stop_after_events cfg make_source =
   let path =
@@ -1064,8 +1108,7 @@ let resume ?stop_after_events cfg make_source =
     | Some p -> p
     | None -> invalid_arg "Service.resume: config has no checkpoint path"
   in
-  with_journaling cfg (fun () ->
-      if cfg.journal_dir <> None then J.clear ();
-      let d = restore cfg path make_source in
-      truncate_segments d;
-      loop d ~stop_after_events)
+  make_journal_dir cfg;
+  let d = restore cfg path make_source in
+  truncate_segments d;
+  loop d ~stop_after_events

@@ -31,9 +31,12 @@
     every [checkpoint_every] events: clock, live slots, free-slot stack,
     pending queue, current plan, metric accumulators, remaining fault
     edges, source cursor, and journal-segment offsets.  With
-    [journal_dir] set, the in-memory event journal is rotated to on-disk
-    JSONL segments at each checkpoint, so journal memory is bounded too.
-    Restoring from the checkpoint (and truncating the journal segments
+    [journal_dir] set, the daemon journals every arrival, replan,
+    segment, completion, fault edge and admission note: each record is
+    encoded as a JSONL line the moment it is made (and handed to the
+    {!Gripps_obs.Obs.Journal.set_sink} sink), and the encoded bytes are
+    appended to on-disk segments at each checkpoint, so journal memory
+    is one window of bytes, not a window of records.  Restoring from the checkpoint (and truncating the journal segments
     to the recorded offsets) yields a daemon whose every subsequent
     event, journal record and metric is {e bit-identical} to the
     uninterrupted run — the property the kill-and-resume tests enforce.
@@ -68,7 +71,8 @@ type config = {
           date; a resumed daemon given a larger horizon continues *)
   checkpoint : string option;   (** checkpoint file path *)
   checkpoint_every : int;       (** events between checkpoints (≥ 1) *)
-  journal_dir : string option;  (** segment directory; forces journaling *)
+  journal_dir : string option;  (** segment directory; journaling is on
+                                    exactly when it is set *)
   seg_limit : int;              (** max records per journal segment *)
   source_desc : string;         (** fingerprinted source description *)
   replan_deadline : float option;
@@ -169,7 +173,7 @@ val resume :
     consumed, [clock] the release of the last one) — e.g.
     [Source.of_file ~skip:cursor path] or [Source.poisson ~cursor
     ~clock ...].  Journal segments are truncated to the checkpointed
-    offsets first, discarding any events the killed run spilled past
+    offsets first, discarding any records the killed run appended past
     its last checkpoint.
     @raise Invalid_argument when [config.checkpoint] is [None];
     @raise Failure on a missing, torn, corrupt or mismatched

@@ -3,9 +3,11 @@
 #
 # Runs the same workload twice: once uninterrupted (the reference), once
 # SIGKILLed mid-run and then resumed from its last on-disk checkpoint.
-# The resumed run must reproduce the reference bit for bit: the metric /
-# admission / progress report lines, every rotated journal segment, and
-# the final checkpoint file.
+# The kill lands at half the reference run's wall time, so it stays
+# mid-run however fast the host or the daemon is; a victim that exits
+# before the kill lands fails the smoke.  The resumed run must reproduce
+# the reference bit for bit: the metric / admission / progress report
+# lines, every journal segment, and the final checkpoint file.
 #
 # Usage: scripts/serve_smoke.sh [CLI_BINARY] [OUT_DIR]
 #
@@ -14,7 +16,6 @@
 # the outputs.
 #
 # Env:   GRIPPS_SMOKE_JOBS        workload size        (default 1000000)
-#        GRIPPS_SMOKE_KILL_AFTER  seconds before kill  (default 1.5)
 set -euo pipefail
 
 CLI="${1:-_build/default/bin/gripps_cli.exe}"
@@ -26,7 +27,6 @@ else
   trap 'rm -rf "$OUT"' EXIT
 fi
 JOBS="${GRIPPS_SMOKE_JOBS:-1000000}"
-KILL_AFTER="${GRIPPS_SMOKE_KILL_AFTER:-1.5}"
 
 ARGS=(--seed 7 --n-jobs "$JOBS" --rate 1 --scheduler SWRPT --policy drop
       --max-live 256 --queue-cap 64 --checkpoint-every 5000)
@@ -34,21 +34,30 @@ ARGS=(--seed 7 --n-jobs "$JOBS" --rate 1 --scheduler SWRPT --policy drop
 mkdir -p "$OUT/ref/journal" "$OUT/killed/journal"
 
 echo "serve-smoke: reference (uninterrupted) run..."
+t0=$(date +%s%N)
 "$CLI" serve "${ARGS[@]}" --checkpoint "$OUT/ref/ck.bin" \
   --journal-dir "$OUT/ref/journal" > "$OUT/ref/report.txt"
+ref_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
+kill_ms=$(( ref_ms / 2 ))
+kill_after=$(printf '%d.%03d' $(( kill_ms / 1000 )) $(( kill_ms % 1000 )))
 
-echo "serve-smoke: victim run (SIGKILL after ${KILL_AFTER}s)..."
+echo "serve-smoke: reference took ${ref_ms} ms;" \
+     "victim run (SIGKILL after ${kill_after}s)..."
 "$CLI" serve "${ARGS[@]}" --checkpoint "$OUT/killed/ck.bin" \
   --journal-dir "$OUT/killed/journal" > "$OUT/killed/first-attempt.txt" &
 pid=$!
-sleep "$KILL_AFTER"
-if kill -9 "$pid" 2>/dev/null; then
-  echo "serve-smoke: delivered SIGKILL to pid $pid"
-else
-  echo "serve-smoke: warning: run drained before the kill landed;" \
-       "resuming from its final checkpoint (weaker, but still checked)"
+sleep "$kill_after"
+kill -9 "$pid" 2>/dev/null || true
+# The exit status tells a kill (128 + 9) from a victim that drained
+# first, which would leave nothing mid-run to resume.
+status=0
+wait "$pid" 2>/dev/null || status=$?
+if [ "$status" -ne 137 ]; then
+  echo "serve-smoke: FAIL: the victim exited with status $status before" \
+       "the SIGKILL landed" >&2
+  exit 1
 fi
-wait "$pid" 2>/dev/null || true
+echo "serve-smoke: delivered SIGKILL to pid $pid"
 
 if [ ! -f "$OUT/killed/ck.bin" ]; then
   echo "serve-smoke: FAIL: no checkpoint on disk after the kill" >&2
@@ -71,7 +80,7 @@ if ! diff -u "$OUT/ref/cmp.txt" "$OUT/killed/cmp.txt"; then
   exit 1
 fi
 
-# 2. The rotated journal segments must be byte-identical.
+# 2. The journal segments must be byte-identical.
 if ! diff <(cat "$OUT/ref/journal/"*.jsonl) \
           <(cat "$OUT/killed/journal/"*.jsonl) > /dev/null; then
   echo "serve-smoke: FAIL: journal segments diverged" >&2

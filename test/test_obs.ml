@@ -174,7 +174,139 @@ let test_of_json_malformed () =
     [ ""; "garbage"; "{"; "{\"type\":\"bogus\"}"; "{\"type\":\"probe\"}";
       "[1,2,3]"; "{\"type\":\"event\",\"kind\":\"nope\",\"time\":1,\"subject\":0}" ]
 
-(* ---- rotation, truncation, segment spill ------------------------------ *)
+(* Values at the edges of the emitters' fast paths: the int path's
+   2^53 bound and -0.0, fixed vs exponent notation, subnormals, the
+   float extremes, the non-finite sentinels, and ints at the extremes. *)
+let edge_events =
+  let arrival x = J.Sim_event { time = x; kind = J.Arrival; subject = 0 } in
+  List.map arrival
+    [ 0.0; -0.0; -3.0; 9007199254740991.0; 9007199254740992.0;
+      9007199254740994.0; 1e16; 1e17; 0.1; 5e-324; 2.2250738585072014e-308;
+      max_float; -.max_float; infinity; neg_infinity ]
+  @ [ J.Run_start { scheduler = "edges"; jobs = min_int; machines = max_int };
+      J.Sim_event { time = -0.1; kind = J.Boundary; subject = -9 };
+      J.Sim_event { time = 1e-7; kind = J.Failure; subject = 9 };
+      J.Span_closed
+        { name = "s"; depth = -10; start_s = 123456.789; dur_s = 1e300 };
+      J.Run_end { time = 4503599627370495.5; completed = 10 };
+      J.Segment
+        { start_time = 0.5; end_time = 1.0;
+          shares =
+            [ (0, [ (min_int, 1.0); (max_int, -0.0) ]);
+              (10, [ (-10, 0.3333333333333333) ]) ] } ]
+
+(* The lines the [Printf]-based encoder wrote for [sample_events @
+   edge_events], kept as literals: a drift in the format fails here even
+   where a round-trip would still pass. *)
+let pinned_lines =
+  [
+    "{\"type\":\"run_start\",\"scheduler\":\"Online\",\"jobs\":3,\"machines\":2}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":1.0312345678901234,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"completion\",\"time\":2.5,\"subject\":1}";
+    "{\"type\":\"event\",\"kind\":\"boundary\",\"time\":2.5,\"subject\":-1}";
+    "{\"type\":\"event\",\"kind\":\"failure\",\"time\":3,\"subject\":1}";
+    "{\"type\":\"event\",\"kind\":\"recovery\",\"time\":4,\"subject\":1}";
+    "{\"type\":\"replan\",\"time\":2.5,\"scheduler\":\"Online\",\"alloc\":[[0,[[1,0.5],[2,0.25]]],[1,[]]],\"horizon\":3.75}";
+    "{\"type\":\"replan\",\"time\":2.5,\"scheduler\":\"Idle\",\"alloc\":[],\"horizon\":null}";
+    "{\"type\":\"segment\",\"start\":0.10000000000000001,\"end\":0.30000000000000004,\"shares\":[[0,[[0,1]]]]}";
+    "{\"type\":\"probe\",\"pipeline\":\"exact\",\"stretch\":1.625,\"feasible\":true}";
+    "{\"type\":\"probe\",\"pipeline\":\"float\",\"stretch\":null,\"feasible\":false}";
+    "{\"type\":\"span\",\"name\":\"solver.exact\",\"depth\":1,\"start\":0.125,\"dur\":0.0625}";
+    "{\"type\":\"note\",\"key\":\"weird \\\"chars\\\"\\n\\t\",\"value\":\"\\\\backslash\\r\"}";
+    "{\"type\":\"run_end\",\"time\":54.15123456789,\"completed\":6}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":0,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":-0,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":-3,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":9007199254740991,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":9007199254740992,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":9007199254740994,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":10000000000000000,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":1e+17,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":0.10000000000000001,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":4.9406564584124654e-324,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":2.2250738585072014e-308,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":1.7976931348623157e+308,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":-1.7976931348623157e+308,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":1e999,\"subject\":0}";
+    "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":-1e999,\"subject\":0}";
+    "{\"type\":\"run_start\",\"scheduler\":\"edges\",\"jobs\":-4611686018427387904,\"machines\":4611686018427387903}";
+    "{\"type\":\"event\",\"kind\":\"boundary\",\"time\":-0.10000000000000001,\"subject\":-9}";
+    "{\"type\":\"event\",\"kind\":\"failure\",\"time\":9.9999999999999995e-08,\"subject\":9}";
+    "{\"type\":\"span\",\"name\":\"s\",\"depth\":-10,\"start\":123456.789,\"dur\":1.0000000000000001e+300}";
+    "{\"type\":\"run_end\",\"time\":4503599627370495.5,\"completed\":10}";
+    "{\"type\":\"segment\",\"start\":0.5,\"end\":1,\"shares\":[[0,[[-4611686018427387904,1],[4611686018427387903,-0]]],[10,[[-10,0.33333333333333331]]]]}" ]
+
+let test_to_json_pinned () =
+  Alcotest.(check (list string)) "to_json bytes" pinned_lines
+    (List.map J.to_json (sample_events @ edge_events))
+
+let float_edges =
+  [ 0.0; -0.0; -3.0; 9007199254740991.0; 9007199254740992.0;
+    9007199254740994.0; 1e16; 1e17; 0.1; 5e-324; 2.2250738585072014e-308;
+    max_float; -.max_float; Float.nan; -.Float.nan; infinity; neg_infinity ]
+
+let json_number x =
+  if Float.is_nan x then "null"
+  else if x = infinity then "1e999"
+  else if x = neg_infinity then "-1e999"
+  else Printf.sprintf "%.17g" x
+
+(* Random bit patterns (NaNs and infinities included), integral floats
+   around the 2^53 bound, dyadic fractions and the edges.  Each float is
+   written twice in a row through one writer, the second time from the
+   memo. *)
+let prop_float_emitter =
+  QCheck2.Test.make ~name:"float emitter = Printf %.17g" ~count:2000
+    QCheck2.Gen.(
+      list_size (int_range 1 8)
+        (oneof
+           [ map Int64.float_of_bits int64;
+             map (fun i -> Float.of_int (i asr 8)) int;
+             map (fun i -> Float.of_int i /. 1024.0) (int_range (-100_000) 100_000);
+             oneofl float_edges ]))
+    (fun xs ->
+      let written emit =
+        let w = J.Writer.create () in
+        List.iter
+          (fun x ->
+            emit w x;
+            emit w x;
+            Buffer.add_char (J.Writer.buffer w) ' ')
+          xs;
+        Buffer.contents (J.Writer.buffer w)
+      in
+      let expected show = String.concat "" (List.map (fun x -> show x ^ show x ^ " ") xs) in
+      written J.Writer.float17 = expected (Printf.sprintf "%.17g")
+      && written J.Writer.float = expected json_number)
+
+let test_float_emitter_edges () =
+  List.iter
+    (fun x ->
+      let w = J.Writer.create () in
+      J.Writer.float17 w x;
+      Alcotest.(check string) (Printf.sprintf "%h" x) (Printf.sprintf "%.17g" x)
+        (Buffer.contents (J.Writer.buffer w)))
+    float_edges
+
+let prop_int_emitter =
+  QCheck2.Test.make ~name:"int emitter = string_of_int" ~count:2000
+    QCheck2.Gen.(
+      oneof [ int; small_signed_int; oneofl [ 0; 9; -9; 10; -10; min_int; max_int ] ])
+    (fun n ->
+      let w = J.Writer.create () in
+      J.Writer.int w n;
+      Buffer.contents (J.Writer.buffer w) = string_of_int n)
+
+let test_int_emitter_edges () =
+  List.iter
+    (fun n ->
+      let w = J.Writer.create () in
+      J.Writer.int w n;
+      Alcotest.(check string) (string_of_int n) (string_of_int n)
+        (Buffer.contents (J.Writer.buffer w)))
+    [ 0; 9; -9; 10; -10; min_int; max_int ]
+
+(* ---- positions, sink, writer windows ---------------------------------- *)
 
 let note k = J.Note { key = "k"; value = string_of_int k }
 
@@ -183,53 +315,56 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-let test_rotate_positions () =
+let test_positions () =
   Obs.set_level Obs.Events;
   J.clear ();
   for k = 1 to 5 do
     J.record (note k)
   done;
   Alcotest.(check int) "position counts records" 5 (J.position ());
-  let window = J.rotate () in
-  Alcotest.(check int) "rotate takes the whole window" 5 (List.length window);
-  Alcotest.(check bool) "buffer left empty" true (J.events () = []);
-  Alcotest.(check int) "position survives rotation" 5 (J.position ());
-  for k = 6 to 8 do
-    J.record (note k)
-  done;
-  (* A mark older than the rotated-away prefix clamps to what is
-     retained; a live mark addresses the exact suffix. *)
-  Alcotest.(check bool) "stale mark clamps to retained suffix" true
-    (compare (J.since 2) [ note 6; note 7; note 8 ] = 0);
-  Alcotest.(check bool) "live mark addresses its suffix" true
-    (compare (J.since 6) [ note 7; note 8 ] = 0);
-  J.truncate_before 7;
-  Alcotest.(check bool) "truncation keeps later positions stable" true
-    (compare (J.since 5) [ note 8 ] = 0);
+  Alcotest.(check bool) "a mark addresses its suffix" true
+    (compare (J.since 3) [ note 4; note 5 ] = 0);
   J.clear ();
-  Alcotest.(check int) "clear resets position" 0 (J.position ())
+  Alcotest.(check int) "clear resets position" 0 (J.position ());
+  J.record (note 6);
+  Alcotest.(check bool) "a mark past a clear clamps to what is buffered" true
+    (compare (J.since 3) [] = 0 && compare (J.since 0) [ note 6 ] = 0);
+  let seen = ref [] in
+  J.set_sink (Some (fun e -> seen := e :: !seen));
+  J.forward (note 7);
+  J.record (note 8);
+  Alcotest.(check bool) "the sink sees forwarded and recorded events" true
+    (compare (List.rev !seen) [ note 7; note 8 ] = 0);
+  Alcotest.(check bool) "a forwarded event is not stored" true
+    (compare (J.events ()) [ note 6; note 8 ] = 0)
 
-(* The daemon's spill loop: record a window, [rotate], [append_jsonl] it
-   to a segment, repeat — the concatenated segments must read back as
-   exactly the full journal. *)
-let test_segment_spill_roundtrip () =
+(* The daemon's segment path: records encoded into one writer as they
+   are made, the buffer appended to a file in windows and drained — the
+   file must read back as exactly the journal. *)
+let test_writer_windows_roundtrip () =
   let path = Filename.temp_file "gripps_obs_seg" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
-      Sys.remove path (* append_jsonl must create the file itself *);
-      Obs.set_level Obs.Events;
-      J.clear ();
-      List.iter J.record (List.filteri (fun i _ -> i < 7) sample_events);
-      J.append_jsonl ~path (J.rotate ());
-      List.iter J.record (List.filteri (fun i _ -> i >= 7) sample_events);
-      J.append_jsonl ~path (J.rotate ());
-      Alcotest.(check int) "position counts both windows"
-        (List.length sample_events) (J.position ());
-      let back = J.read_jsonl_strict ~path in
-      Alcotest.(check bool) "spilled segments concatenate to the journal"
-        true
-        (same_events sample_events back))
+      Sys.remove path;
+      let w = J.Writer.create () in
+      let flush () =
+        let oc = open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path in
+        Buffer.output_buffer oc (J.Writer.buffer w);
+        close_out oc;
+        Buffer.clear (J.Writer.buffer w)
+      in
+      List.iteri
+        (fun i e ->
+          J.Writer.line w e;
+          if i = 6 then flush ())
+        sample_events;
+      flush ();
+      Alcotest.(check string) "lines are to_json's"
+        (String.concat "" (List.map (fun e -> J.to_json e ^ "\n") sample_events))
+        (Gripps_obs.Fsio.read_file path);
+      Alcotest.(check bool) "windows concatenate to the journal" true
+        (same_events sample_events (J.read_jsonl_strict ~path)))
 
 let test_read_jsonl_strict_errors () =
   let path = Filename.temp_file "gripps_obs_bad" ".jsonl" in
@@ -513,10 +648,15 @@ let suite =
         (sandboxed test_jsonl_file_roundtrip);
       Alcotest.test_case "malformed json rejected" `Quick
         (sandboxed test_of_json_malformed);
-      Alcotest.test_case "journal rotation keeps positions" `Quick
-        (sandboxed test_rotate_positions);
-      Alcotest.test_case "segment spill round-trip" `Quick
-        (sandboxed test_segment_spill_roundtrip);
+      Alcotest.test_case "to_json bytes pinned" `Quick test_to_json_pinned;
+      QCheck_alcotest.to_alcotest prop_float_emitter;
+      Alcotest.test_case "float emitter edges" `Quick test_float_emitter_edges;
+      QCheck_alcotest.to_alcotest prop_int_emitter;
+      Alcotest.test_case "int emitter edges" `Quick test_int_emitter_edges;
+      Alcotest.test_case "journal positions and sink" `Quick
+        (sandboxed test_positions);
+      Alcotest.test_case "writer windows round-trip" `Quick
+        (sandboxed test_writer_windows_roundtrip);
       Alcotest.test_case "strict reader rejects damage" `Quick
         (sandboxed test_read_jsonl_strict_errors);
       Alcotest.test_case "replay of an empty journal" `Quick

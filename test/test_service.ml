@@ -556,6 +556,181 @@ let test_bounded_memory_counters () =
   Alcotest.(check int) "completions = admissions" r.admitted
     r.metrics.Service.completed
 
+(* ---- pinned bytes ------------------------------------------------------ *)
+
+(* Two databanks, machine 2 hosting both; crash edges on every machine;
+   an overloaded stream into a 3-slot pool with a 2-deep queue, so
+   arrivals, enqueues, drops or sheds, failures, recoveries and
+   segments that skip a crashing machine all reach the journal.  Windows
+   of 16 events hold 34 to 48 records, so the 21-record segments roll
+   mid-flush, and under Drop three windows end on a full segment, so
+   the next window's first record opens a new file. *)
+let pinned_platform =
+  Platform.make
+    ~machines:
+      [ Machine.make ~id:0 ~speed:1.0 ~databanks:[| true; false |];
+        Machine.make ~id:1 ~speed:2.0 ~databanks:[| false; true |];
+        Machine.make ~id:2 ~speed:1.5 ~databanks:[| true; true |] ]
+    ~num_databanks:2
+
+let pinned_faults =
+  [ { Fault.time = 4.0; machine = 2; up = false };
+    { Fault.time = 9.5; machine = 2; up = true };
+    { Fault.time = 15.25; machine = 0; up = false };
+    { Fault.time = 21.0; machine = 0; up = true };
+    { Fault.time = 30.0; machine = 1; up = false };
+    { Fault.time = 33.0; machine = 1; up = true } ]
+
+(* FNV-64 of every segment and of the final checkpoint, as the
+   [Printf]-based writers produced them. *)
+let pinned_digests =
+  [ ( Service.Drop,
+      [ ("seg-000000.jsonl", "0b114d915bc09e39");
+        ("seg-000001.jsonl", "8c260961da75d753");
+        ("seg-000002.jsonl", "ce31b046dfe9c48b");
+        ("seg-000003.jsonl", "6b08b6615dc0932c");
+        ("seg-000004.jsonl", "4b5d6feca4cf6ce6");
+        ("seg-000005.jsonl", "5b55660acee8e843");
+        ("seg-000006.jsonl", "a9e4eb30617ad5fa");
+        ("seg-000007.jsonl", "fae12a0fe707fe61");
+        ("seg-000008.jsonl", "6aedcfd7eb1d9b43");
+        ("seg-000009.jsonl", "286f75a26f4eefec");
+        ("seg-000010.jsonl", "155b5135235bf4be");
+        ("seg-000011.jsonl", "65f761aab02b8edf");
+        ("seg-000012.jsonl", "55a1952d113dcaf5");
+        ("seg-000013.jsonl", "0b5f973e4d692a6b");
+        ("seg-000014.jsonl", "6365ae6055bc581b");
+        ("seg-000015.jsonl", "0043fac1acb4f9e4");
+        ("seg-000016.jsonl", "e6d0c4ec6dd21a0e");
+        ("seg-000017.jsonl", "64d2f6872afbe226") ],
+      "64bb6f416f5ad61c" );
+    ( Service.Shed,
+      [ ("seg-000000.jsonl", "0b114d915bc09e39");
+        ("seg-000001.jsonl", "d6d0e2f958d75271");
+        ("seg-000002.jsonl", "42f44dd3c58b6781");
+        ("seg-000003.jsonl", "f0a689705ea38cef");
+        ("seg-000004.jsonl", "00583fac3f1bb766");
+        ("seg-000005.jsonl", "db70fd03e182762f");
+        ("seg-000006.jsonl", "b155b3493da88ed6");
+        ("seg-000007.jsonl", "c25c6f46b28aec66");
+        ("seg-000008.jsonl", "f6cfe0a352f84b81");
+        ("seg-000009.jsonl", "017a06b9d39f7492");
+        ("seg-000010.jsonl", "242b06b503c3ac70");
+        ("seg-000011.jsonl", "a6afbcc70f929119");
+        ("seg-000012.jsonl", "04c8b4a516acedc8");
+        ("seg-000013.jsonl", "eda19c8652910054");
+        ("seg-000014.jsonl", "1ed74c0d44baf101");
+        ("seg-000015.jsonl", "8f2e34de9060d769");
+        ("seg-000016.jsonl", "6e4a94fe3160a2e1");
+        ("seg-000017.jsonl", "3c29dd1edef07cd4") ],
+      "ff4f2087a0f67169" ) ]
+
+let test_pinned_bytes () =
+  List.iter
+    (fun (policy, segments, checkpoint) ->
+      with_tmpdir (fun dir ->
+          let ckpt = Filename.concat dir "ckpt"
+          and jdir = Filename.concat dir "journal" in
+          let cfg =
+            Service.config ~platform:pinned_platform ~rule:Service.Swrpt ~policy
+              ~max_live:3 ~queue_cap:2 ~faults:pinned_faults ~loss:Fault.Crash
+              ~checkpoint:ckpt ~checkpoint_every:16 ~journal_dir:jdir
+              ~seg_limit:21 ~source_desc:"pinned" ()
+          in
+          let r =
+            Service.run cfg
+              (Source.poisson ~seed:2024 ~rate:1.2 ~sizes:[| 3.0; 5.0 |] ~jobs:60 ())
+          in
+          let what = Service.policy_name policy in
+          Alcotest.(check bool) (what ^ ": overload and crash loss occur") true
+            (r.enqueued > 0 && r.dropped + r.shed > 0 && r.lost_work > 0.0);
+          Alcotest.(check (list (pair string string))) (what ^ ": segments")
+            segments
+            (List.map
+               (fun p -> (Filename.basename p, Fsio.fnv64 (Fsio.read_file p)))
+               (Service.segment_files ~dir:jdir));
+          Alcotest.(check string) (what ^ ": final checkpoint") checkpoint
+            (Fsio.fnv64 (Fsio.read_file ckpt))))
+    pinned_digests
+
+(* A whole checkpoint as the [Printf] writer printed it.  Machine 1's
+   downtime never ends, so the remaining trace holds a repair at
+   infinity, which [%.17g] prints as "inf". *)
+let test_checkpoint_text_pinned () =
+  with_tmpdir (fun dir ->
+      let ckpt = Filename.concat dir "ckpt" in
+      let platform =
+        Platform.make
+          ~machines:
+            [ Machine.make ~id:0 ~speed:1.0 ~databanks:[| true |];
+              Machine.with_downtime
+                (Machine.make ~id:1 ~speed:1.0 ~databanks:[| true |])
+                [ (1.5, infinity) ] ]
+          ~num_databanks:1
+      in
+      let cfg =
+        Service.config ~platform ~rule:Service.Fcfs ~max_live:4 ~checkpoint:ckpt
+          ~checkpoint_every:1 ()
+      in
+      let r = Service.run cfg (Source.of_list (items_of [ (0.0, 3.0); (0.5, 1.0) ])) in
+      Alcotest.(check bool) "drained" true (r.outcome = Service.Drained);
+      Alcotest.(check string) "final checkpoint"
+        "gripps-ckpt 1 434212c891b5d511 177 ed459757c478e31b\n\
+         now 3.5\n\
+         counts 5 5 7 0\n\
+         metrics 2 3.8333333333333335 3 5.5 3 3.5 1\n\
+         admission 2 0 0 0 2 0\n\
+         source 2 0.5\n\
+         up 1 0\n\
+         faults 1\n\
+         fault inf 1 1\n\
+         live 0\n\
+         free 4 3 2 0 1\n\
+         queue 0\n\
+         plan 0\n\
+         jseg 0 0\n"
+        (Fsio.read_file ckpt))
+
+(* ---- allocation gates --------------------------------------------------- *)
+
+let gate_source jobs = Source.poisson ~seed:3 ~rate:0.8 ~sizes:[| 3.0; 5.0 |] ~jobs ()
+
+(* Journal records are encoded as they are made, so none should live
+   long enough to be promoted: a window of boxed records held until the
+   checkpoint spill promoted about 95 words per event. *)
+let test_journal_promotes_nothing () =
+  with_tmpdir (fun dir ->
+      let cfg =
+        Service.config ~platform:pinned_platform ~rule:Service.Swrpt
+          ~checkpoint:(Filename.concat dir "ckpt")
+          ~journal_dir:(Filename.concat dir "journal") ()
+      in
+      let src = gate_source 20_000 in
+      let _, p0, _ = Gc.counters () in
+      let r = Service.run cfg src in
+      let _, p1, _ = Gc.counters () in
+      let per_event = (p1 -. p0) /. float_of_int r.events in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.3f promoted words/event < 1" per_event)
+        true (per_event < 1.0))
+
+(* The checkpoint path allocates per checkpoint, not per field: the
+   bound is the one [bench/main.exe serve] gates on. *)
+let test_checkpoint_allocation () =
+  with_tmpdir (fun dir ->
+      let cfg =
+        Service.config ~platform:pinned_platform ~rule:Service.Swrpt
+          ~checkpoint:(Filename.concat dir "ckpt") ~checkpoint_every:4096 ()
+      in
+      let src = gate_source 40_000 in
+      let w0 = Gc.minor_words () in
+      let r = Service.run cfg src in
+      let per_event = (Gc.minor_words () -. w0) /. float_of_int r.events in
+      Alcotest.(check bool) "checkpoints written" true (r.checkpoints >= 10);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.3f minor words/event <= 3.0" per_event)
+        true (per_event <= 3.0))
+
 let suite =
   ( "service",
     [ Alcotest.test_case "drains a simple stream" `Quick test_drains_simple;
@@ -573,4 +748,12 @@ let suite =
       Alcotest.test_case "corrupt checkpoints are rejected" `Quick
         test_checkpoint_corruption_detected;
       Alcotest.test_case "memory bounds hold under overload" `Quick
-        test_bounded_memory_counters ] )
+        test_bounded_memory_counters;
+      Alcotest.test_case "segment and checkpoint bytes pinned" `Quick
+        test_pinned_bytes;
+      Alcotest.test_case "checkpoint text pinned" `Quick
+        test_checkpoint_text_pinned;
+      Alcotest.test_case "journaled run promotes nothing" `Quick
+        test_journal_promotes_nothing;
+      Alcotest.test_case "checkpoint path allocation" `Quick
+        test_checkpoint_allocation ] )
