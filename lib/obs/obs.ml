@@ -522,7 +522,7 @@ module Journal = struct
   type json =
     | Jnull
     | Jbool of bool
-    | Jnum of float
+    | Jnum of float * string            (* the value and its text *)
     | Jstr of string
     | Jlist of json list
     | Jobj of (string * json) list
@@ -590,8 +590,9 @@ module Journal = struct
         advance ()
       done;
       if !pos = start then raise Parse_error;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
+      let text = String.sub s start (!pos - start) in
+      match float_of_string_opt text with
+      | Some f -> Jnum (f, text)
       | None -> raise Parse_error
     in
     let rec parse_value () =
@@ -639,7 +640,7 @@ module Journal = struct
           expect '}';
           Jobj (List.rev !fields)
         end
-      | _ -> parse_number () |> fun f -> Jnum f
+      | _ -> parse_number ()
     in
     let v = parse_value () in
     skip_ws ();
@@ -649,11 +650,20 @@ module Journal = struct
   let jfield k = function Jobj fs -> List.assoc_opt k fs | _ -> None
 
   let jnum = function
-    | Some (Jnum f) -> f
+    | Some (Jnum (f, _)) -> f
     | Some Jnull -> Float.nan
     | _ -> raise Parse_error
 
-  let jint v = int_of_float (jnum v)
+  (* Ints are read from their text, not through a float: a value past
+     2^53 comes back exactly, and a fraction, an exponent or [null] is
+     refused. *)
+  let int_of_text t =
+    match int_of_string_opt t with Some i -> i | None -> raise Parse_error
+
+  let jint = function
+    | Some (Jnum (_, t)) -> int_of_text t
+    | _ -> raise Parse_error
+
   let jstr = function Some (Jstr s) -> s | _ -> raise Parse_error
   let jbool = function Some (Jbool b) -> b | _ -> raise Parse_error
 
@@ -662,11 +672,12 @@ module Journal = struct
     | Some (Jlist machines) ->
       List.map
         (function
-          | Jlist [ Jnum m; Jlist shares ] ->
-            ( int_of_float m,
+          | Jlist [ Jnum (_, m); Jlist shares ] ->
+            ( int_of_text m,
               List.map
                 (function
-                  | Jlist [ Jnum j; Jnum share ] -> (int_of_float j, share)
+                  | Jlist [ Jnum (_, j); Jnum (share, _) ] ->
+                    (int_of_text j, share)
                   | _ -> raise Parse_error)
                 shares )
           | _ -> raise Parse_error)
@@ -703,7 +714,7 @@ module Journal = struct
                   horizon =
                     (match jfield "horizon" j with
                      | Some Jnull | None -> None
-                     | Some (Jnum h) -> Some h
+                     | Some (Jnum (h, _)) -> Some h
                      | Some _ -> raise Parse_error) })
          | Some (Jstr "segment") ->
            Some

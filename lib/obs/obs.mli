@@ -240,7 +240,10 @@ module Journal : sig
   (** One record, without its newline, through a fresh {!Writer}. *)
 
   val of_json : string -> event option
-  (** Parse a line emitted by {!to_json}; [None] on malformed input. *)
+  (** Parse a line emitted by {!to_json}; [None] on malformed input.
+      Int fields are read exactly from their text: a fraction, an
+      exponent, [null] or a value outside the int range is malformed,
+      never rounded. *)
 
   val write_jsonl : path:string -> event list -> unit
   (** Write the events to [path], one {!Writer.line} each, through one

@@ -184,7 +184,7 @@ let m_makespan = 4
    over job ids. *)
 type daemon = {
   cfg : config;
-  src : Source.t;
+  mutable src : Source.t;             (* swapped in by restore *)
   kern : Kernel.t;                    (* slot-addressed: capacity max_live *)
   nm : int;
   nd : int;
@@ -384,71 +384,199 @@ let flush_journal d =
     Buffer.clear b;
     Vec.clear d.rolls
 
-(* ---- checkpoint format ------------------------------------------------- *)
+(* ---- checkpoint codec -------------------------------------------------- *)
 
 let ckpt_magic = "gripps-ckpt"
 let ckpt_version = 1
 
-(* The payload goes through the journal's int and float emitters into
-   the daemon's reused buffer: the bytes [Printf]'s ["%d"] and
-   ["%.17g"] wrote, without a format interpretation per field. *)
-let serialize d =
-  let k = d.kern and w = d.ckw in
-  let b = J.Writer.buffer w in
-  Buffer.clear b;
-  let tag t = Buffer.add_string b t in
-  let int i = Buffer.add_char b ' '; J.Writer.int w i in
-  let flt x = Buffer.add_char b ' '; J.Writer.float17 w x in
-  let nl () = Buffer.add_char b '\n' in
-  tag "now"; flt k.Kernel.clock.(0); nl ();
-  tag "counts"; int d.events; int d.replans; int d.checkpoints;
-  int d.deadline_misses; nl ();
-  tag "metrics"; int d.completed;
-  flt d.acc.(m_sum_stretch); flt d.acc.(m_max_stretch); flt d.acc.(m_sum_flow);
-  flt d.acc.(m_max_flow); flt d.acc.(m_makespan); flt k.Kernel.lost_acc.(0);
-  nl ();
-  tag "admission"; int d.admitted; int d.enqueued; int d.dropped; int d.shed;
-  int d.peak_live; int d.peak_queue; nl ();
-  tag "source"; int (Source.cursor d.src); flt (Source.clock d.src); nl ();
-  tag "up";
-  Array.iter (fun u -> int (if u then 1 else 0)) k.Kernel.up;
-  nl ();
-  tag "faults"; int (List.length k.Kernel.trace); nl ();
-  List.iter
-    (fun (e : Fault.edge) ->
-      tag "fault"; flt e.Fault.time; int e.Fault.machine;
-      int (if e.Fault.up then 1 else 0); nl ())
-    k.Kernel.trace;
-  tag "live"; int d.live; nl ();
-  for s = 0 to d.cfg.max_live - 1 do
-    if d.ext.(s) >= 0 then begin
-      tag "slot"; int s; int d.ext.(s); flt d.release.(s);
-      flt k.Kernel.size.(s); int d.db.(s); flt k.Kernel.remaining.(s); nl ()
-    end
+let corrupt path = Printf.ksprintf (fun m -> failwith (path ^ ": " ^ m))
+
+(* A cursor over a checkpoint payload, and the callback that re-opens
+   the source at the position the payload records. *)
+type reader = {
+  path : string;
+  text : string;
+  mutable pos : int;
+  mutable line : int;                 (* file line of the record being read *)
+  make_source : cursor:int -> clock:float -> Source.t;
+}
+
+(* One description of the payload, run in two directions: [Put] writes
+   the daemon's fields into the buffer, [Get] reads them back into a
+   fresh daemon. *)
+type io = Put of J.Writer.t | Get of reader
+
+let bad r = Printf.ksprintf (fun m -> corrupt r.path "line %d: %s" r.line m)
+
+let at_end r = r.pos >= String.length r.text
+
+let skip r c what =
+  if at_end r || r.text.[r.pos] <> c then bad r "%s" what;
+  r.pos <- r.pos + 1
+
+let token r =
+  let start = r.pos in
+  while not (at_end r || r.text.[r.pos] = ' ' || r.text.[r.pos] = '\n') do
+    r.pos <- r.pos + 1
   done;
-  tag "free"; int (Vec.length d.free_slots);
-  Vec.iter int d.free_slots;
-  nl ();
-  tag "queue"; int d.q_len; nl ();
+  String.sub r.text start (r.pos - start)
+
+(* A record is its tag, one space before each field, and a newline. *)
+let tag io t =
+  match io with
+  | Put w -> Buffer.add_string (J.Writer.buffer w) t
+  | Get r ->
+    if at_end r then bad r "truncated checkpoint: missing '%s' record" t;
+    let found = token r in
+    if found <> t then bad r "expected '%s', found '%s'" t found
+
+let nl io =
+  match io with
+  | Put w -> Buffer.add_char (J.Writer.buffer w) '\n'
+  | Get r -> skip r '\n' "record runs on"; r.line <- r.line + 1
+
+let field r = skip r ' ' "record ends early"; token r
+
+(* Fields are exchanges: [Put] writes [v] (the bytes [Printf]'s ["%d"]
+   and ["%.17g"] wrote) and returns it; [Get] returns what it reads,
+   refused outside the field's domain. *)
+let int_in io ~lo ~hi v =
+  match io with
+  | Put w -> Buffer.add_char (J.Writer.buffer w) ' '; J.Writer.int w v; v
+  | Get r ->
+    let s = field r in
+    (match int_of_string_opt s with
+     | Some i when lo <= i && i <= hi -> i
+     | Some _ -> bad r "%s outside [%d, %d]" s lo hi
+     | None -> bad r "bad integer %S" s)
+
+let nat io v = int_in io ~lo:0 ~hi:max_int v
+let index io n v = int_in io ~lo:0 ~hi:(n - 1) v
+let bit io b = int_in io ~lo:0 ~hi:1 (Bool.to_int b) = 1
+
+let float io x =
+  match io with
+  | Put w -> Buffer.add_char (J.Writer.buffer w) ' '; J.Writer.float17 w x; x
+  | Get r ->
+    let s = field r in
+    (match float_of_string_opt s with
+     | Some f -> f
+     | None -> bad r "bad float %S" s)
+
+let date io x =
+  let t = float io x in
+  match io with
+  | Get r when not (Float.is_finite t && t >= 0.0) ->
+    bad r "date %g outside [0, inf)" t
+  | Get _ | Put _ -> t
+
+(* The payload, record by record in file order.  Each field names its
+   domain: counts >= 0, with [live], [free] and [queue] at most their
+   capacity; machine, slot and databank indices in range; dates finite
+   and >= 0.  Rules across records are [restore]'s, after the pass. *)
+let codec io d =
+  let k = d.kern and cap = d.cfg.max_live in
+  let put = match io with Put _ -> true | Get _ -> false in
+  tag io "now"; k.Kernel.clock.(0) <- date io k.Kernel.clock.(0); nl io;
+  tag io "counts"; d.events <- nat io d.events; d.replans <- nat io d.replans;
+  d.checkpoints <- nat io d.checkpoints;
+  d.deadline_misses <- nat io d.deadline_misses; nl io;
+  tag io "metrics"; d.completed <- nat io d.completed;
+  for i = m_sum_stretch to m_makespan do d.acc.(i) <- float io d.acc.(i) done;
+  k.Kernel.lost_acc.(0) <- float io k.Kernel.lost_acc.(0); nl io;
+  tag io "admission";
+  d.admitted <- nat io d.admitted; d.enqueued <- nat io d.enqueued;
+  d.dropped <- nat io d.dropped; d.shed <- nat io d.shed;
+  d.peak_live <- nat io d.peak_live; d.peak_queue <- nat io d.peak_queue;
+  nl io;
+  tag io "source";
+  let cursor = nat io (Source.cursor d.src) in
+  let clock = date io (Source.clock d.src) in
+  (match io with
+   | Put _ -> ()
+   | Get r ->
+     (d.src <-
+        try r.make_source ~cursor ~clock
+        with Invalid_argument m ->
+          bad r "source refuses cursor %d: %s" cursor m);
+     if Source.cursor d.src <> cursor then
+       bad r "resumed source reports cursor %d, checkpoint says %d"
+         (Source.cursor d.src) cursor);
+  nl io;
+  tag io "up";
+  for m = 0 to d.nm - 1 do k.Kernel.up.(m) <- bit io k.Kernel.up.(m) done;
+  nl io;
+  tag io "faults";
+  let nfaults = nat io (List.length k.Kernel.trace) in
+  nl io;
+  let edge (e : Fault.edge) =
+    tag io "fault";
+    let time = float io e.Fault.time in
+    let machine = index io d.nm e.Fault.machine in
+    let up = bit io e.Fault.up in
+    nl io;
+    if put then e else { Fault.time; machine; up }
+  in
+  if put then List.iter (fun e -> ignore (edge e)) k.Kernel.trace
+  else
+    k.Kernel.trace <-
+      List.init nfaults (fun _ ->
+          edge { Fault.time = 0.0; machine = 0; up = true });
+  tag io "live"; d.live <- int_in io ~lo:0 ~hi:cap d.live; nl io;
+  let slot s =
+    tag io "slot";
+    let s = index io cap s in
+    d.ext.(s) <- nat io d.ext.(s);
+    d.release.(s) <- date io d.release.(s);
+    k.Kernel.size.(s) <- float io k.Kernel.size.(s);
+    d.db.(s) <- index io d.nd d.db.(s);
+    k.Kernel.remaining.(s) <- float io k.Kernel.remaining.(s);
+    nl io
+  in
+  if put then for s = 0 to cap - 1 do if d.ext.(s) >= 0 then slot s done
+  else for _ = 1 to d.live do slot 0 done;
+  tag io "free";
+  let nfree = int_in io ~lo:0 ~hi:cap (Vec.length d.free_slots) in
+  (* A fresh daemon's stack holds every slot: cut it to the count. *)
+  while Vec.length d.free_slots > nfree do
+    ignore (Vec.pop_exn d.free_slots)
+  done;
+  for i = 0 to nfree - 1 do
+    Vec.set d.free_slots i (index io cap (Vec.get d.free_slots i))
+  done;
+  nl io;
+  (* A fresh daemon's ring starts at cell 0. *)
+  tag io "queue"; d.q_len <- int_in io ~lo:0 ~hi:d.cfg.queue_cap d.q_len;
+  nl io;
   for i = 0 to d.q_len - 1 do
     let j = (d.q_head + i) mod Array.length d.qe in
-    tag "qitem"; int d.qe.(j); flt d.qr.(j); flt d.qw.(j); int d.qd.(j); nl ()
+    tag io "qitem";
+    d.qe.(j) <- nat io d.qe.(j);
+    d.qr.(j) <- date io d.qr.(j);
+    d.qw.(j) <- float io d.qw.(j);
+    d.qd.(j) <- index io d.nd d.qd.(j);
+    nl io
   done;
-  (* Canonical order, so checkpoints written before and after the
-     flat-plan change are byte-identical. *)
+  (* Runs in canonical order, so a fresh buffer ([grab_order = false])
+     reads back in the order the original run's accessors used. *)
   let plan = k.Kernel.plan in
-  tag "plan"; int (Pb.runs plan); nl ();
-  for i = 0 to Pb.runs plan - 1 do
-    let len = Pb.run_length plan i in
-    tag "pentry"; int (Pb.run_machine plan i); int len;
+  tag io "plan";
+  let runs = nat io (Pb.runs plan) in
+  nl io;
+  for i = 0 to runs - 1 do
+    tag io "pentry";
+    let m = index io d.nm (if put then Pb.run_machine plan i else 0) in
+    let len = nat io (if put then Pb.run_length plan i else 0) in
+    if not put then Pb.begin_machine plan m;
     for e = 0 to len - 1 do
-      int (Pb.entry_job plan i e);
-      flt (Pb.entry_share plan i e)
+      let s = index io cap (if put then Pb.entry_job plan i e else 0) in
+      let share = float io (if put then Pb.entry_share plan i e else 0.0) in
+      if not put then Pb.push_share plan ~job:s ~share
     done;
-    nl ()
+    nl io
   done;
-  tag "jseg"; int d.seg_index; int d.seg_lines; nl ();
-  Buffer.contents b
+  tag io "jseg"; d.seg_index <- nat io d.seg_index;
+  d.seg_lines <- nat io d.seg_lines; nl io
 
 let write_checkpoint d =
   match d.cfg.checkpoint with
@@ -456,7 +584,9 @@ let write_checkpoint d =
   | Some path ->
     d.checkpoints <- d.checkpoints + 1;
     Obs.Counter.incr c_checkpoints;
-    let payload = serialize d in
+    Buffer.clear (J.Writer.buffer d.ckw);
+    codec (Put d.ckw) d;
+    let payload = Buffer.contents (J.Writer.buffer d.ckw) in
     let header =
       Printf.sprintf "%s %d %s %d %s\n" ckpt_magic ckpt_version d.fp
         (String.length payload) (Fsio.fnv64 payload)
@@ -465,34 +595,6 @@ let write_checkpoint d =
     d.since_ckpt <- 0
 
 (* ---- checkpoint restore ------------------------------------------------ *)
-
-let corrupt path fmt =
-  Printf.ksprintf (fun m -> failwith (path ^ ": " ^ m)) fmt
-
-(* Sequential tagged-line parser over the payload. *)
-type parser_state = { path : string; mutable lines : string list; mutable ln : int }
-
-let next_line ps tag =
-  match ps.lines with
-  | [] -> corrupt ps.path "truncated checkpoint: missing '%s' record" tag
-  | l :: rest ->
-    ps.lines <- rest;
-    ps.ln <- ps.ln + 1;
-    (match String.split_on_char ' ' l with
-     | t :: fields when t = tag -> fields
-     | t :: _ ->
-       corrupt ps.path "checkpoint line %d: expected '%s', found '%s'" ps.ln tag t
-     | [] -> corrupt ps.path "checkpoint line %d: empty record" ps.ln)
-
-let p_int ps v =
-  match int_of_string_opt v with
-  | Some i -> i
-  | None -> corrupt ps.path "checkpoint line %d: bad integer %S" ps.ln v
-
-let p_float ps v =
-  match float_of_string_opt v with
-  | Some f -> f
-  | None -> corrupt ps.path "checkpoint line %d: bad float %S" ps.ln v
 
 let restore cfg path make_source =
   let raw =
@@ -519,193 +621,42 @@ let restore cfg path make_source =
       | _ -> corrupt path "torn checkpoint: payload length mismatch");
      if sum <> Fsio.fnv64 payload then corrupt path "checkpoint checksum mismatch"
    | _ -> corrupt path "not a checkpoint (malformed header)");
-  let ps =
-    { path;
-      lines =
-        (String.split_on_char '\n' payload
-         |> List.filter (fun l -> l <> ""));
-      ln = 1 }
-  in
-  let now =
-    match next_line ps "now" with
-    | [ v ] -> p_float ps v
-    | _ -> corrupt path "malformed 'now' record"
-  in
-  let events, replans, checkpoints, deadline_misses =
-    match next_line ps "counts" with
-    | [ a; b; c; dl ] -> (p_int ps a, p_int ps b, p_int ps c, p_int ps dl)
-    | _ -> corrupt path "malformed 'counts' record"
-  in
-  let completed, sum_stretch, max_stretch, sum_flow, max_flow, makespan, lost_work =
-    match next_line ps "metrics" with
-    | [ n; ss; ms; sf; mf; mk; lw ] ->
-      (p_int ps n, p_float ps ss, p_float ps ms, p_float ps sf, p_float ps mf,
-       p_float ps mk, p_float ps lw)
-    | _ -> corrupt path "malformed 'metrics' record"
-  in
-  let admitted, enqueued, dropped, shed, peak_live, peak_queue =
-    match next_line ps "admission" with
-    | [ a; e; dr; sh; pl; pq ] ->
-      (p_int ps a, p_int ps e, p_int ps dr, p_int ps sh, p_int ps pl, p_int ps pq)
-    | _ -> corrupt path "malformed 'admission' record"
-  in
-  let cursor, clock =
-    match next_line ps "source" with
-    | [ c; k ] -> (p_int ps c, p_float ps k)
-    | _ -> corrupt path "malformed 'source' record"
-  in
-  let src = make_source ~cursor ~clock in
-  if Source.cursor src <> cursor then
-    corrupt path "resumed source reports cursor %d, checkpoint says %d"
-      (Source.cursor src) cursor;
-  let d = make_daemon cfg src in
-  let k = d.kern in
-  k.Kernel.clock.(0) <- now;
-  d.events <- events;
-  d.replans <- replans;
-  d.checkpoints <- checkpoints;
-  d.deadline_misses <- deadline_misses;
-  d.completed <- completed;
-  d.acc.(m_sum_stretch) <- sum_stretch;
-  d.acc.(m_max_stretch) <- max_stretch;
-  d.acc.(m_sum_flow) <- sum_flow;
-  d.acc.(m_max_flow) <- max_flow;
-  d.acc.(m_makespan) <- makespan;
-  k.Kernel.lost_acc.(0) <- lost_work;
-  d.admitted <- admitted;
-  d.enqueued <- enqueued;
-  d.dropped <- dropped;
-  d.shed <- shed;
-  d.peak_live <- peak_live;
-  d.peak_queue <- peak_queue;
-  let ups = next_line ps "up" in
-  if List.length ups <> d.nm then corrupt path "malformed 'up' record";
-  List.iteri (fun m v -> k.Kernel.up.(m) <- p_int ps v <> 0) ups;
-  let nfaults =
-    match next_line ps "faults" with
-    | [ n ] -> p_int ps n
-    | _ -> corrupt path "malformed 'faults' record"
-  in
-  k.Kernel.trace <-
-    List.init nfaults (fun _ ->
-        match next_line ps "fault" with
-        | [ t; m; u ] ->
-          { Fault.time = p_float ps t; machine = p_int ps m;
-            up = p_int ps u <> 0 }
-        | _ -> corrupt path "malformed 'fault' record");
-  let nlive =
-    match next_line ps "live" with
-    | [ n ] -> p_int ps n
-    | _ -> corrupt path "malformed 'live' record"
-  in
-  for _ = 1 to nlive do
-    match next_line ps "slot" with
-    | [ s; e; r; w; db; rem ] ->
-      let s = p_int ps s in
-      if s < 0 || s >= cfg.max_live then corrupt path "slot id out of range";
-      if d.ext.(s) >= 0 then corrupt path "two slot records name slot %d" s;
-      let e = p_int ps e in
-      if e < 0 then corrupt path "slot %d has negative external id %d" s e;
-      d.ext.(s) <- e;
-      d.release.(s) <- p_float ps r;
-      k.Kernel.size.(s) <- p_float ps w;
-      d.db.(s) <- p_int ps db;
-      k.Kernel.remaining.(s) <- p_float ps rem
-    | _ -> corrupt path "malformed 'slot' record"
-  done;
-  d.live <- nlive;
-  (* Rebuild the engine's heaps from slot data: the plan walk reads only
-     heap roots — the ascending (key, slot) minimum of each databank —
-     so the rebuilt heaps schedule identically whatever the original
-     insertion history was. *)
-  for s = 0 to cfg.max_live - 1 do
-    if d.ext.(s) >= 0 then begin
-      if d.db.(s) < 0 || d.db.(s) >= d.nd then
-        corrupt path "slot %d references unknown databank %d" s d.db.(s);
-      List_sched.add d.eng k s
-    end
-  done;
-  (match next_line ps "free" with
-   | n :: ids ->
-     if p_int ps n <> List.length ids then corrupt path "malformed 'free' record";
-     Vec.clear d.free_slots;
-     let listed = Array.make cfg.max_live false in
-     List.iter
-       (fun v ->
-         let s = p_int ps v in
-         if s < 0 || s >= cfg.max_live || d.ext.(s) >= 0 then
-           corrupt path "free stack names an occupied or out-of-range slot";
-         if listed.(s) then corrupt path "free stack lists slot %d twice" s;
-         listed.(s) <- true;
-         Vec.push d.free_slots s)
-       ids
-   | [] -> corrupt path "malformed 'free' record");
-  if Vec.length d.free_slots + d.live <> cfg.max_live then
+  (* The source is a placeholder until the pass reaches its record. *)
+  let d = make_daemon cfg (Source.of_list []) in
+  let r = { path; text = payload; pos = 0; line = 2; make_source } in
+  codec (Get r) d;
+  if not (at_end r) then
+    corrupt path "trailing garbage after checkpoint payload";
+  let k = d.kern and cap = cfg.max_live in
+  (* Each slot record occupies its slot: a slot named twice leaves fewer
+     occupied than [live]. *)
+  if Array.fold_left (fun n e -> if e >= 0 then n + 1 else n) 0 d.ext <> d.live
+  then corrupt path "two slot records name one slot";
+  let listed = Array.make cap false in
+  Vec.iter
+    (fun s ->
+      if d.ext.(s) >= 0 || listed.(s) then
+        corrupt path "free stack lists slot %d twice or while occupied" s;
+      listed.(s) <- true)
+    d.free_slots;
+  if Vec.length d.free_slots + d.live <> cap then
     corrupt path "slot accounting mismatch (%d free + %d live <> %d)"
-      (Vec.length d.free_slots) d.live cfg.max_live;
-  let nq =
-    match next_line ps "queue" with
-    | [ n ] -> p_int ps n
-    | _ -> corrupt path "malformed 'queue' record"
-  in
-  if nq < 0 || nq > cfg.queue_cap then
-    corrupt path "queue length %d outside [0, %d]" nq cfg.queue_cap;
-  d.q_head <- 0;
-  for i = 0 to nq - 1 do
-    match next_line ps "qitem" with
-    | [ e; r; w; db ] ->
-      d.qe.(i) <- p_int ps e;
-      d.qr.(i) <- p_float ps r;
-      d.qw.(i) <- p_float ps w;
-      d.qd.(i) <- p_int ps db
-    | _ -> corrupt path "malformed 'qitem' record"
-  done;
-  d.q_len <- nq;
-  let nplan =
-    match next_line ps "plan" with
-    | [ n ] -> p_int ps n
-    | _ -> corrupt path "malformed 'plan' record"
-  in
-  (* The checkpoint lists runs in canonical order, so refill the buffer
-     with [grab_order = false]: reads come back in write order, which is
-     exactly the order the original run's canonical accessors used. *)
-  Pb.clear k.Kernel.plan;
-  for _ = 1 to nplan do
-    match next_line ps "pentry" with
-    | m :: n :: rest ->
-      let m = p_int ps m and n = p_int ps n in
-      if m < 0 || m >= d.nm then corrupt path "plan references unknown machine";
-      Pb.begin_machine k.Kernel.plan m;
-      let rec shares n = function
-        | [] when n = 0 -> ()
-        | s :: sh :: rest when n > 0 ->
-          Pb.push_share k.Kernel.plan ~job:(p_int ps s) ~share:(p_float ps sh);
-          shares (n - 1) rest
-        | _ -> corrupt path "malformed 'pentry' record"
-      in
-      shares n rest
-    | _ -> corrupt path "malformed 'pentry' record"
-  done;
-  (* Validate the restored plan's slot references, then let the kernel
-     reload the rates — the same canonical-order accumulation the
-     original run's replan used, so the completion scan walks [rated]
-     identically. *)
+      (Vec.length d.free_slots) d.live cap;
   for i = 0 to Pb.runs k.Kernel.plan - 1 do
     for e = 0 to Pb.run_length k.Kernel.plan i - 1 do
-      let s = Pb.entry_job k.Kernel.plan i e in
-      if s < 0 || s >= cfg.max_live || d.ext.(s) < 0 then
+      if d.ext.(Pb.entry_job k.Kernel.plan i e) < 0 then
         corrupt path "plan references a free slot"
     done
   done;
+  (* Rebuild the engine's heaps from slot data: the plan walk reads only
+     heap roots — the ascending (key, slot) minimum of each databank —
+     so the rebuilt heaps schedule identically whatever the original
+     insertion history was.  The kernel then reloads the rates in the
+     canonical order the original run's replan used. *)
+  for s = 0 to cap - 1 do
+    if d.ext.(s) >= 0 then List_sched.add d.eng k s
+  done;
   Kernel.load_rates k;
-  let seg_index, seg_lines =
-    match next_line ps "jseg" with
-    | [ i; n ] -> (p_int ps i, p_int ps n)
-    | _ -> corrupt path "malformed 'jseg' record"
-  in
-  d.seg_index <- seg_index;
-  d.seg_lines <- seg_lines;
-  if ps.lines <> [] then corrupt path "trailing garbage after checkpoint payload";
   (* The restored run must not re-fire the checkpoint that produced this
      state: the writer reset its cadence exactly here. *)
   d.since_ckpt <- 0;
@@ -751,13 +702,6 @@ let truncate_segments d =
    rather than as arguments: float parameters of a non-inlined call box
    at the boundary, and admission runs once per job. *)
 let admit_live d ~ext ~databank =
-  if databank < 0 || databank >= d.nd then
-    failwith
-      (Printf.sprintf "service: job %d requests unknown databank %d" ext databank);
-  if List_sched.replicas d.eng databank = 0 then
-    failwith
-      (Printf.sprintf "service: job %d requests databank %d with no replica"
-         ext databank);
   (* [pop_exn]: the caller checks [live < max_live], and [pop] would
      allocate a [Some] per admission. *)
   let s = Vec.pop_exn d.free_slots in
@@ -835,6 +779,13 @@ let rec pop_arrivals d =
          admission staging cells. *)
       let ext = Source.cursor d.src in
       let databank = Source.next_databank d.src in
+      (* Checked whatever becomes of the job: none reaches a checkpoint. *)
+      if databank < 0 || databank >= d.nd then
+        Printf.ksprintf failwith "service: job %d requests unknown databank %d"
+          ext databank;
+      if List_sched.replicas d.eng databank = 0 then
+        Printf.ksprintf failwith
+          "service: job %d requests databank %d with no replica" ext databank;
       d.adm.(0) <- Source.next_release d.src;
       d.adm.(1) <- Source.next_size d.src;
       Source.drop d.src;

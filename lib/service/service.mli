@@ -161,7 +161,8 @@ val run : ?stop_after_events:int -> config -> Gripps_workload.Source.t -> report
     written.  A fresh run clears any stale journal segments in
     [journal_dir] (created if missing).
     @raise Failure on a malformed source stream or a job whose databank
-    has no replica; @raise Stalled as documented. *)
+    is unknown or has no replica, whether it would be admitted, queued
+    or dropped; @raise Stalled as documented. *)
 
 val resume :
   ?stop_after_events:int ->
@@ -177,7 +178,8 @@ val resume :
     its last checkpoint.
     @raise Invalid_argument when [config.checkpoint] is [None];
     @raise Failure on a missing, torn, corrupt or mismatched
-    (fingerprint) checkpoint. *)
+    (fingerprint) checkpoint, a field outside its domain included, and
+    when the callback refuses the checkpointed position. *)
 
 val segment_files : dir:string -> string list
 (** The journal segment files under [dir], in order. *)

@@ -81,18 +81,44 @@ fnv64() {  # FNV-1a 64 of a file, printed like Fsio.fnv64
   done
   printf '%016x' "$h"
 }
+reseal() {  # reseal CHECKPOINT SED-SCRIPT: edit the payload, redo the seal
+  local magic version fp
+  tail -n +2 "$1" | sed "$2" > "$TMP/payload"
+  read -r magic version fp _ < "$1"
+  { printf '%s %s %s %d %s\n' "$magic" "$version" "$fp" \
+      "$(wc -c < "$TMP/payload")" "$(fnv64 "$TMP/payload")"
+    cat "$TMP/payload"; } > "$1"
+}
 rm -f "$TMP/ck.bin"
 "$CLI" serve --seed 1 --n-jobs 40 --rate 1 --max-live 4 --queue-cap 2 \
   --checkpoint "$TMP/ck.bin" --checkpoint-every 1 --stop-after-events 2 \
   >/dev/null 2>&1
-tail -n +2 "$TMP/ck.bin" | sed 's/^free 3 3 2 1$/free 3 3 2 2/' > "$TMP/payload"
-read -r magic version fp _ < "$TMP/ck.bin"
-{ printf '%s %s %s %d %s\n' "$magic" "$version" "$fp" \
-    "$(wc -c < "$TMP/payload")" "$(fnv64 "$TMP/payload")"
-  cat "$TMP/payload"; } > "$TMP/ck.bin"
+reseal "$TMP/ck.bin" 's/^free 3 3 2 1$/free 3 3 2 2/'
 expect 3 "resume from a resealed checkpoint listing a free slot twice" \
   "$CLI" serve --seed 1 --n-jobs 40 --rate 1 --max-live 4 --queue-cap 2 \
   --checkpoint "$TMP/ck.bin" --checkpoint-every 1 --resume
+
+# Resealed fields outside their domain exit 3 too: a fault edge on a
+# machine the platform lacks, and a source cursor before the stream's
+# start or past its 40 jobs.  --mtbf puts fault edges in the checkpoint.
+faulted=(serve --seed 1 --n-jobs 40 --rate 1 --max-live 4 --queue-cap 2
+  --mtbf 5 --checkpoint "$TMP/ck.bin" --checkpoint-every 1)
+for edit in 's/^\(fault [^ ]*\) [0-9]* /\1 7 /:a fault edge on machine 7' \
+  's/^source [0-9]* /source -1 /:source cursor -1' \
+  's/^source [0-9]* /source 99 /:source cursor 99 of 40'; do
+  rm -f "$TMP/ck.bin"
+  "$CLI" "${faulted[@]}" --stop-after-events 2 >/dev/null 2>&1
+  reseal "$TMP/ck.bin" "${edit%%:*}"
+  expect 3 "resume from a resealed checkpoint with ${edit#*:}" \
+    "$CLI" "${faulted[@]}" --resume
+done
+
+# A job naming an unknown databank fails the run even when the daemon
+# would drop it (one slot and one queue cell, both taken).
+printf '0.0 100.0 0\n0.0 1.0 0\n0.0 1.0 99\n' > "$TMP/baddb.jobs"
+expect 3 "a dropped job naming an unknown databank" \
+  "$CLI" serve --source "$TMP/baddb.jobs" --max-live 1 --queue-cap 1 \
+  --sites 2 --databases 2
 
 # The kill-and-resume flow itself succeeds end to end.
 rm -f "$TMP/ck.bin"

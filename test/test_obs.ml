@@ -144,36 +144,6 @@ let sample_events =
     J.Note { key = "weird \"chars\"\n\t"; value = "\\backslash\r" };
     J.Run_end { time = 54.15123456789; completed = 6 } ]
 
-(* [compare], not [=]: the NaN probe must round-trip too. *)
-let same_events a b = compare (a : J.event list) b = 0
-
-let test_jsonl_roundtrip () =
-  let lines = List.map J.to_json sample_events in
-  let back = List.filter_map J.of_json lines in
-  Alcotest.(check int) "no line lost" (List.length sample_events)
-    (List.length back);
-  Alcotest.(check bool) "round-trip is the identity" true
-    (same_events sample_events back)
-
-let test_jsonl_file_roundtrip () =
-  let path = Filename.temp_file "gripps_obs" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      J.write_jsonl ~path sample_events;
-      let back = J.read_jsonl ~path in
-      Alcotest.(check bool) "file round-trip" true (same_events sample_events back))
-
-let test_of_json_malformed () =
-  List.iter
-    (fun line ->
-      Alcotest.(check bool)
-        (Printf.sprintf "rejects %S" line)
-        true
-        (J.of_json line = None))
-    [ ""; "garbage"; "{"; "{\"type\":\"bogus\"}"; "{\"type\":\"probe\"}";
-      "[1,2,3]"; "{\"type\":\"event\",\"kind\":\"nope\",\"time\":1,\"subject\":0}" ]
-
 (* Values at the edges of the emitters' fast paths: the int path's
    2^53 bound and -0.0, fixed vs exponent notation, subnormals, the
    float extremes, the non-finite sentinels, and ints at the extremes. *)
@@ -194,6 +164,43 @@ let edge_events =
           shares =
             [ (0, [ (min_int, 1.0); (max_int, -0.0) ]);
               (10, [ (-10, 0.3333333333333333) ]) ] } ]
+
+(* [compare], not [=]: the NaN probe must round-trip too. *)
+let same_events a b = compare (a : J.event list) b = 0
+
+let test_jsonl_roundtrip () =
+  let events = sample_events @ edge_events in
+  let lines = List.map J.to_json events in
+  let back = List.filter_map J.of_json lines in
+  Alcotest.(check int) "no line lost" (List.length events)
+    (List.length back);
+  Alcotest.(check bool) "round-trip is the identity" true
+    (same_events events back)
+
+let test_jsonl_file_roundtrip () =
+  let path = Filename.temp_file "gripps_obs" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      J.write_jsonl ~path sample_events;
+      let back = J.read_jsonl ~path in
+      Alcotest.(check bool) "file round-trip" true (same_events sample_events back))
+
+let test_of_json_malformed () =
+  List.iter
+    (fun line ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rejects %S" line)
+        true
+        (J.of_json line = None))
+    [ ""; "garbage"; "{"; "{\"type\":\"bogus\"}"; "{\"type\":\"probe\"}";
+      "[1,2,3]"; "{\"type\":\"event\",\"kind\":\"nope\",\"time\":1,\"subject\":0}";
+      (* ints are exact: no fraction, exponent or null *)
+      "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":1,\"subject\":1.5}";
+      "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":1,\"subject\":null}";
+      "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":1,\"subject\":1e3}";
+      "{\"type\":\"segment\",\"start\":0,\"end\":1,\"shares\":[[0.7,[[2,1]]]]}";
+      "{\"type\":\"segment\",\"start\":0,\"end\":1,\"shares\":[[0,[[2.9,1]]]]}" ]
 
 (* The lines the [Printf]-based encoder wrote for [sample_events @
    edge_events], kept as literals: a drift in the format fails here even

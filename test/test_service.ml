@@ -691,6 +691,109 @@ let test_checkpoint_text_pinned () =
          jseg 0 0\n"
         (Fsio.read_file ckpt))
 
+(* ---- resealed mutations ------------------------------------------------ *)
+
+(* A checkpoint resealed after an edit (length and FNV-64 recomputed)
+   gets past the seal, so only restore's field domains and consistency
+   checks stand between it and the daemon.  Every payload prefix, and
+   every field set in turn to each hostile value, must resume into a
+   report, a [Failure] or [Stalled]: never another exception, and never
+   a loop that [stop_after_events] cannot stop.  Fixture: the pinned
+   platform with machine 1's fault edges, SWRPT under Shed, killed at
+   event 25 (fault edges, full slots, a queue and a plan on file) and at
+   event 10 (a slot on the free stack). *)
+let mutation_values =
+  [ "-1"; "7"; "nan"; "inf"; "-inf"; "1e308"; "x"; "99999999999999999999"; "0" ]
+
+let test_resealed_mutations () =
+  with_tmpdir (fun dir ->
+      let ckpt = Filename.concat dir "ckpt" in
+      let cfg every =
+        Service.config ~platform:pinned_platform ~rule:Service.Swrpt
+          ~policy:Service.Shed ~max_live:3 ~queue_cap:2
+          ~faults:
+            (List.filter (fun (e : Fault.edge) -> e.machine = 1) pinned_faults)
+          ~checkpoint:ckpt ~checkpoint_every:every ~source_desc:"pinned" ()
+      in
+      let source ~cursor ~clock =
+        Source.poisson ~seed:2024 ~rate:1.2 ~sizes:[| 3.0; 5.0 |] ~jobs:60
+          ~cursor ~clock ()
+      in
+      (* The checkpoint left by a kill at event [kill]: the header's
+         magic, version and fingerprint, and the payload's lines. *)
+      let fixture ~kill ~holds =
+        let r =
+          Service.run ~stop_after_events:kill (cfg 1)
+            (source ~cursor:0 ~clock:0.0)
+        in
+        Alcotest.(check bool) "fixture killed" true
+          (r.outcome = Service.Killed);
+        let raw = Fsio.read_file ckpt in
+        let i = String.index raw '\n' in
+        let lines =
+          String.split_on_char '\n'
+            (String.sub raw (i + 1) (String.length raw - i - 1))
+        in
+        List.iter
+          (fun p ->
+            if not (List.exists (String.starts_with ~prefix:p) lines) then
+              Alcotest.failf "fixture at event %d has no %S record" kill p)
+          holds;
+        match String.split_on_char ' ' (String.sub raw 0 i) with
+        | [ magic; version; fp; _; _ ] ->
+          (String.concat " " [ magic; version; fp ], lines)
+        | _ -> Alcotest.fail "malformed checkpoint header"
+      in
+      (* A plain write: [Fsio.write_atomic]'s fsync would dominate the
+         sweep.  The resumed run checkpoints only at its end. *)
+      let resumes seal what payload =
+        Out_channel.with_open_bin ckpt (fun oc ->
+            Printf.fprintf oc "%s %d %s\n%s" seal (String.length payload)
+              (Fsio.fnv64 payload) payload);
+        match Service.resume ~stop_after_events:200 (cfg max_int) source with
+        | _ -> ()
+        | exception (Failure _ | Service.Stalled _) -> ()
+        | exception e -> Alcotest.failf "%s: %s" what (Printexc.to_string e)
+      in
+      (* The payload with word [k] of line [li] (word 0 is the tag) set
+         to [v]. *)
+      let set_field lines li k v =
+        String.concat "\n"
+          (List.mapi
+             (fun j l ->
+               if j <> li then l
+               else
+                 String.concat " "
+                   (List.mapi (fun i w -> if i = k then v else w)
+                      (String.split_on_char ' ' l)))
+             lines)
+      in
+      List.iter
+        (fun (kill, holds) ->
+          let seal, lines = fixture ~kill ~holds in
+          let payload = String.concat "\n" lines in
+          for len = 0 to String.length payload - 1 do
+            resumes seal
+              (Printf.sprintf "kill %d, prefix of %d bytes" kill len)
+              (String.sub payload 0 len)
+          done;
+          List.iteri
+            (fun li line ->
+              List.iteri
+                (fun k _ ->
+                  if k > 0 then
+                    List.iter
+                      (fun v ->
+                        resumes seal
+                          (Printf.sprintf "kill %d, line %d field %d = %s" kill
+                             (li + 2) k v)
+                          (set_field lines li k v))
+                      mutation_values)
+                (String.split_on_char ' ' line))
+            lines)
+        [ (25, [ "fault "; "slot "; "qitem "; "pentry " ]);
+          (10, [ "fault "; "slot "; "pentry "; "free 1 " ]) ])
+
 (* ---- allocation gates --------------------------------------------------- *)
 
 let gate_source jobs = Source.poisson ~seed:3 ~rate:0.8 ~sizes:[| 3.0; 5.0 |] ~jobs ()
@@ -753,6 +856,8 @@ let suite =
         test_pinned_bytes;
       Alcotest.test_case "checkpoint text pinned" `Quick
         test_checkpoint_text_pinned;
+      Alcotest.test_case "resealed checkpoint mutations" `Quick
+        test_resealed_mutations;
       Alcotest.test_case "journaled run promotes nothing" `Quick
         test_journal_promotes_nothing;
       Alcotest.test_case "checkpoint path allocation" `Quick
