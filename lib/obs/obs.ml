@@ -325,39 +325,157 @@ module Journal = struct
      double; non-finite floats are encoded as null / signed sentinels. -- *)
 
   module Writer = struct
-    (* The memo pairs the last float sent to [format_float] with its
-       digits, the float in an unboxed one-cell array (a mutable float
-       field of this record would box on every store).  The initial pair
-       (+0.0, "0") is consistent, and the int path intercepts +0.0
-       before the memo is consulted. *)
-    type t = { buf : Buffer.t; memo : float array; mutable memo_s : string }
+    (* [scratch] holds an int's text on its way to the buffer, and a
+       float's 17 digits before they are laid out.  The memo pairs the
+       last float that missed the int path with its text,
+       [memo_b.[0 .. memo_len)]; the float sits in an unboxed one-cell
+       array (a mutable float field of this record would box on every
+       store).  The initial pair (+0.0, "0") is consistent, and the int
+       path intercepts +0.0 before the memo is consulted. *)
+    type t = {
+      buf : Buffer.t;
+      scratch : Bytes.t;
+      memo : float array;
+      memo_b : Bytes.t;
+      mutable memo_len : int;
+    }
 
-    let create () = { buf = Buffer.create 256; memo = [| 0.0 |]; memo_s = "0" }
+    (* [scratch] fits [min_int]'s 19 digits and sign; [memo_b] the
+       longest [%.17g] text, 24 bytes ("-2.2250738585072014e-308"). *)
+    let create () =
+      { buf = Buffer.create 256; scratch = Bytes.create 20; memo = [| 0.0 |];
+        memo_b = Bytes.make 32 '0'; memo_len = 1 }
+
     let buffer w = w.buf
 
-    (* Digits of [m <= 0], most significant first.  Working on the
+    (* "00" to "99": the digits of [r] are at [2r] and [2r + 1]. *)
+    let pairs =
+      String.init 200 (fun i ->
+          Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
+    (* Write the digits of [m <= 0] into [b], two per step, ending just
+       before [stop]; return where they start.  Working on the
        non-positive side covers [min_int], whose negation overflows. *)
-    let rec neg_digits b m =
-      if m <= -10 then neg_digits b (m / 10);
-      Buffer.add_char b (Char.unsafe_chr (48 - (m mod 10)))
+    let neg_digits b stop m =
+      let m = ref m and p = ref stop in
+      while !m <= -100 do
+        let q = !m / 100 in
+        let r = 2 * ((q * 100) - !m) in
+        p := !p - 2;
+        Bytes.unsafe_set b !p (String.unsafe_get pairs r);
+        Bytes.unsafe_set b (!p + 1) (String.unsafe_get pairs (r + 1));
+        m := q
+      done;
+      if !m <= -10 then begin
+        let r = -2 * !m in
+        p := !p - 2;
+        Bytes.unsafe_set b !p (String.unsafe_get pairs r);
+        Bytes.unsafe_set b (!p + 1) (String.unsafe_get pairs (r + 1))
+      end
+      else begin
+        decr p;
+        Bytes.unsafe_set b !p (Char.unsafe_chr (48 - !m))
+      end;
+      !p
 
     let int w n =
-      if n < 0 then begin
-        Buffer.add_char w.buf '-';
-        neg_digits w.buf n
+      if n >= 0 && n < 10 then Buffer.add_char w.buf (Char.unsafe_chr (48 + n))
+      else begin
+        let b = w.scratch in
+        let stop = Bytes.length b in
+        let p = neg_digits b stop (if n < 0 then n else -n) in
+        let p = if n < 0 then (Bytes.unsafe_set b (p - 1) '-'; p - 1) else p in
+        Buffer.add_subbytes w.buf b p (stop - p)
       end
-      else neg_digits w.buf (-n)
 
     (* What [Printf.sprintf "%.17g"] calls once it has parsed its format
        (CamlinternalFormat.convert_float): C's [%.17g] of the double. *)
     external format_float : string -> float -> string = "caml_format_float"
 
+    let two52 = 4503599627370496.0
     let two53 = 9007199254740992.0
+
+    (* 10^0 .. 10^22, every one an exact double. *)
+    let pow10 =
+      [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11;
+         1e12; 1e13; 1e14; 1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+    (* C's [%.17g] of [x], 10^-6 <= |x| < 2^52, written into [memo_b];
+       returns its length.  With [10^k <= |x| < 10^(k+1)] (so k is in
+       [-6, 15]) and [p = 16 - k], [V = |x| * 10^p] lies in
+       [10^16, 10^17) and is [hi + lo] exactly: [10^p] is exact, [hi] is
+       the rounded product, an even integer since it is past 2^53, and
+       the fma's [lo] is the rounding error, |lo| <= 8.  The 17 digits
+       are [V] rounded half to even, as glibc rounds, decided by exact
+       comparisons of [lo] with [floor lo + 0.5]. *)
+    let exact w x =
+      let a = Float.abs x in
+      let k0 = Float.to_int (Float.floor (Float.log10 a)) in
+      let k0 = if k0 < -6 then -6 else if k0 > 15 then 15 else k0 in
+      (* The log10 estimate can miss by one next to a power of ten. *)
+      let k =
+        let t = pow10.(16 - k0) in
+        let hi = a *. t in
+        if hi < 1e16 || (hi = 1e16 && Float.fma a t (-.hi) < 0.0) then k0 - 1
+        else if hi > 1e17 || (hi = 1e17 && Float.fma a t (-.hi) >= 0.0) then
+          k0 + 1
+        else k0
+      in
+      let t = pow10.(16 - k) in
+      let hi = a *. t in
+      let lo = Float.fma a t (-.hi) in
+      let f = Float.floor lo in
+      let half = f +. 0.5 in
+      let fi = Float.to_int f in
+      let r = if lo < half then fi else if lo > half then fi + 1 else fi + (fi land 1) in
+      let n = Float.to_int hi + r in
+      (* [V] rounded up to 10^17: the next decade, digits 1 then zeros. *)
+      let carry = n >= 100_000_000_000_000_000 in
+      let n = if carry then n / 10 else n in
+      let k = if carry then k + 1 else k in
+      let d = w.scratch and o = w.memo_b in
+      ignore (neg_digits d 17 (-n));
+      let nd = ref 17 in
+      while Bytes.unsafe_get d (!nd - 1) = '0' do decr nd done;
+      let nd = !nd in
+      let p = if x < 0.0 then (Bytes.unsafe_set o 0 '-'; 1) else 0 in
+      if k < -4 then begin
+        (* d.ddde-0K: [%g] keeps fixed notation down to 10^-4 only. *)
+        Bytes.unsafe_set o p (Bytes.unsafe_get d 0);
+        let p = if nd > 1 then (Bytes.unsafe_set o (p + 1) '.'; p + 2) else p + 1 in
+        Bytes.blit d 1 o p (nd - 1);
+        let p = p + nd - 1 in
+        Bytes.blit_string "e-0" 0 o p 3;
+        Bytes.unsafe_set o (p + 3) (Char.unsafe_chr (48 - k));
+        p + 4
+      end
+      else if k < 0 then begin
+        (* "0." and -k-1 zeros before the digits. *)
+        Bytes.blit_string "0.000" 0 o p (1 - k);
+        Bytes.blit d 0 o (p + 1 - k) nd;
+        p + 1 - k + nd
+      end
+      else if nd > k + 1 then begin
+        Bytes.blit d 0 o p (k + 1);
+        Bytes.unsafe_set o (p + k + 1) '.';
+        Bytes.blit d (k + 1) o (p + k + 2) (nd - k - 1);
+        p + nd + 1
+      end
+      else begin
+        Bytes.blit d 0 o p (k + 1);
+        p + k + 1
+      end
+
+    let primitive w x =
+      let s = format_float "%.17g" x in
+      Bytes.blit_string s 0 w.memo_b 0 (String.length s);
+      String.length s
 
     (* An integral double below 2^53 in magnitude has at most 16 digits,
        so [%.17g] prints it in fixed notation without a fraction: its
        digits are the int's.  -0.0 prints as "-0" and keeps the general
-       path. *)
+       path.  The double nearest 1e-6 lies below 10^-6, so the exact
+       path's lower bound is strict. *)
     let float17 w x =
       if
         Float.abs x < two53
@@ -370,9 +488,10 @@ module Journal = struct
             (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float w.memo.(0)))
         then begin
           w.memo.(0) <- x;
-          w.memo_s <- format_float "%.17g" x
+          let a = Float.abs x in
+          w.memo_len <- (if a > 1e-6 && a < two52 then exact w x else primitive w x)
         end;
-        Buffer.add_string w.buf w.memo_s
+        Buffer.add_subbytes w.buf w.memo_b 0 w.memo_len
       end
 
     let float w x =

@@ -204,13 +204,15 @@ module Journal : sig
       NaN is written [null] and the infinities [1e999] / [-1e999]. *)
 
   (** An encoder that appends JSONL to a buffer it owns.  It carries its
-      own state (the buffer and a one-entry memo of the last float it
-      formatted) and nothing else: a writer belongs to its caller, so
-      writers in different domains never meet.  No [Printf] format is
-      interpreted per field: ints are written digit by digit, integral
-      floats below 2{^53} through the int path, and every other float
-      through the C primitive [Printf "%.17g"] itself ends in, skipped
-      when the float equals the last one formatted. *)
+      own state (the buffer, scratch bytes and a one-entry memo of the
+      last float it formatted) and nothing else: a writer belongs to its
+      caller, so writers in different domains never meet.  No [Printf]
+      format is interpreted per field: ints are written two digits at a
+      time, integral floats below 2{^53} through the int path,
+      non-integral floats with 10{^-6} <= |x| < 2{^52} by an exact
+      17-digit computation in OCaml, and every other float through the
+      C primitive [Printf "%.17g"] itself ends in; a float equal to the
+      last one formatted re-emits its bytes. *)
   module Writer : sig
     type t
 
@@ -222,11 +224,15 @@ module Journal : sig
         depend on it. *)
 
     val int : t -> int -> unit
-    (** Append [string_of_int n]. *)
+    (** Append [string_of_int n].  Allocates nothing. *)
 
     val float17 : t -> float -> unit
     (** Append [Printf.sprintf "%.17g" x], for every [x] (NaN and the
-        infinities print as [Printf] prints them). *)
+        infinities print as [Printf] prints them).  Allocates nothing,
+        except that a float below 10{^-6} in magnitude (the double
+        nearest 1e-6 included), an integral float from 2{^53} up, -0.0,
+        NaN or an infinity, when it differs from the last float
+        formatted, costs the C primitive's string. *)
 
     val float : t -> float -> unit
     (** Append a JSON number: [null] for NaN, [1e999] / [-1e999] for the

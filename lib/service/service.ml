@@ -463,17 +463,28 @@ let float io x =
      | Some f -> f
      | None -> bad r "bad float %S" s)
 
-let date io x =
+(* A float read back must lie in [lo, hi]: NaN never does, and a bound
+   of [max_float] refuses the infinities. *)
+let float_in io what ~lo ~hi x =
   let t = float io x in
   match io with
-  | Get r when not (Float.is_finite t && t >= 0.0) ->
-    bad r "date %g outside [0, inf)" t
+  | Get r when not (lo <= t && t <= hi) ->
+    bad r "%s %g outside [%g, %g]" what t lo hi
   | Get _ | Put _ -> t
+
+let tiniest = Float.succ 0.0
+
+let date io x = float_in io "date" ~lo:0.0 ~hi:max_float x
+let amount io x = float_in io "amount" ~lo:0.0 ~hi:max_float x
+let size io x = float_in io "size" ~lo:tiniest ~hi:max_float x
 
 (* The payload, record by record in file order.  Each field names its
    domain: counts >= 0, with [live], [free] and [queue] at most their
-   capacity; machine, slot and databank indices in range; dates finite
-   and >= 0.  Rules across records are [restore]'s, after the pass. *)
+   capacity; machine, slot and databank indices in range; dates, metric
+   accumulators and lost work finite and >= 0; sizes finite and > 0;
+   remaining work in [0, size], as it only decreases from the size;
+   shares in (0, 1]; fault times >= 0, where +inf is a repair that never
+   comes.  Rules across records are [restore]'s, after the pass. *)
 let codec io d =
   let k = d.kern and cap = d.cfg.max_live in
   let put = match io with Put _ -> true | Get _ -> false in
@@ -482,8 +493,8 @@ let codec io d =
   d.checkpoints <- nat io d.checkpoints;
   d.deadline_misses <- nat io d.deadline_misses; nl io;
   tag io "metrics"; d.completed <- nat io d.completed;
-  for i = m_sum_stretch to m_makespan do d.acc.(i) <- float io d.acc.(i) done;
-  k.Kernel.lost_acc.(0) <- float io k.Kernel.lost_acc.(0); nl io;
+  for i = m_sum_stretch to m_makespan do d.acc.(i) <- amount io d.acc.(i) done;
+  k.Kernel.lost_acc.(0) <- amount io k.Kernel.lost_acc.(0); nl io;
   tag io "admission";
   d.admitted <- nat io d.admitted; d.enqueued <- nat io d.enqueued;
   d.dropped <- nat io d.dropped; d.shed <- nat io d.shed;
@@ -511,7 +522,7 @@ let codec io d =
   nl io;
   let edge (e : Fault.edge) =
     tag io "fault";
-    let time = float io e.Fault.time in
+    let time = float_in io "fault time" ~lo:0.0 ~hi:infinity e.Fault.time in
     let machine = index io d.nm e.Fault.machine in
     let up = bit io e.Fault.up in
     nl io;
@@ -528,9 +539,11 @@ let codec io d =
     let s = index io cap s in
     d.ext.(s) <- nat io d.ext.(s);
     d.release.(s) <- date io d.release.(s);
-    k.Kernel.size.(s) <- float io k.Kernel.size.(s);
+    let w = size io k.Kernel.size.(s) in
+    k.Kernel.size.(s) <- w;
     d.db.(s) <- index io d.nd d.db.(s);
-    k.Kernel.remaining.(s) <- float io k.Kernel.remaining.(s);
+    k.Kernel.remaining.(s) <-
+      float_in io "remaining work" ~lo:0.0 ~hi:w k.Kernel.remaining.(s);
     nl io
   in
   if put then for s = 0 to cap - 1 do if d.ext.(s) >= 0 then slot s done
@@ -553,7 +566,7 @@ let codec io d =
     tag io "qitem";
     d.qe.(j) <- nat io d.qe.(j);
     d.qr.(j) <- date io d.qr.(j);
-    d.qw.(j) <- float io d.qw.(j);
+    d.qw.(j) <- size io d.qw.(j);
     d.qd.(j) <- index io d.nd d.qd.(j);
     nl io
   done;
@@ -570,7 +583,10 @@ let codec io d =
     if not put then Pb.begin_machine plan m;
     for e = 0 to len - 1 do
       let s = index io cap (if put then Pb.entry_job plan i e else 0) in
-      let share = float io (if put then Pb.entry_share plan i e else 0.0) in
+      let share =
+        float_in io "share" ~lo:tiniest ~hi:1.0
+          (if put then Pb.entry_share plan i e else 0.0)
+      in
       if not put then Pb.push_share plan ~job:s ~share
     done;
     nl io

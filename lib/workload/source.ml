@@ -103,10 +103,10 @@ let parse_line line =
   | [ r; w; d ] ->
     (match (float_of_string_opt r, float_of_string_opt w, int_of_string_opt d) with
      | Some release, Some size, Some databank ->
-       if Float.is_nan release || release < 0.0 then
-         Error "negative or NaN release date"
-       else if Float.is_nan size || size <= 0.0 then
-         Error "non-positive or NaN size"
+       if not (Float.is_finite release && release >= 0.0) then
+         Error "release date not finite and >= 0"
+       else if not (Float.is_finite size && size > 0.0) then
+         Error "size not finite and > 0"
        else if databank < 0 then Error "negative databank index"
        else Ok (Some { release; size; databank })
      | None, _, _ -> Error "unparsable release date"

@@ -10,7 +10,8 @@
     - {!of_file}/{!of_channel}: the line protocol — one request per line,
       [<release> <size> <databank>] (seconds, MB, 0-based index), with
       [#] comments and blank lines ignored.  Malformed lines raise
-      [Failure] naming the line number; releases must be non-decreasing.
+      [Failure] naming the line number; releases must be finite, >= 0
+      and non-decreasing, sizes finite and > 0.
     - {!poisson}: the synthetic open-loop driver.  Item [k] is drawn from
       {!Gripps_rng.Splitmix.stream}[ base k] — a pure function of the
       seed and the index — so the stream can be re-entered at any cursor

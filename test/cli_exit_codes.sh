@@ -62,6 +62,10 @@ expect 2 "resume without a checkpoint" "$CLI" serve --resume
 # Malformed data exits 3.
 printf '0.0 10.0 0\nbogus line\n' > "$TMP/bad.jobs"
 expect 3 "malformed source stream" "$CLI" serve --source "$TMP/bad.jobs"
+# A job of infinite size is refused as it is read, like size 0 (a
+# checkpoint holding one could not be resumed).
+printf '0.0 10.0 0\n0.5 inf 0\n' > "$TMP/inf.jobs"
+expect 3 "a job of infinite size" "$CLI" serve --source "$TMP/inf.jobs"
 
 # A corrupt checkpoint exits 3.
 "$CLI" serve --seed 1 --n-jobs 40 --rate 4 --max-live 4 --queue-cap 2 \
@@ -99,13 +103,15 @@ expect 3 "resume from a resealed checkpoint listing a free slot twice" \
   --checkpoint "$TMP/ck.bin" --checkpoint-every 1 --resume
 
 # Resealed fields outside their domain exit 3 too: a fault edge on a
-# machine the platform lacks, and a source cursor before the stream's
-# start or past its 40 jobs.  --mtbf puts fault edges in the checkpoint.
+# machine the platform lacks, a source cursor before the stream's start
+# or past its 40 jobs, and a live job of size 0.  --mtbf puts fault
+# edges in the checkpoint.
 faulted=(serve --seed 1 --n-jobs 40 --rate 1 --max-live 4 --queue-cap 2
   --mtbf 5 --checkpoint "$TMP/ck.bin" --checkpoint-every 1)
 for edit in 's/^\(fault [^ ]*\) [0-9]* /\1 7 /:a fault edge on machine 7' \
   's/^source [0-9]* /source -1 /:source cursor -1' \
-  's/^source [0-9]* /source 99 /:source cursor 99 of 40'; do
+  's/^source [0-9]* /source 99 /:source cursor 99 of 40' \
+  's/^\(slot [^ ]* [^ ]* [^ ]*\) [^ ]* /\1 0 /:a slot of size 0'; do
   rm -f "$TMP/ck.bin"
   "$CLI" "${faulted[@]}" --stop-after-events 2 >/dev/null 2>&1
   reseal "$TMP/ck.bin" "${edit%%:*}"

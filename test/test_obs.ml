@@ -250,7 +250,8 @@ let test_to_json_pinned () =
 let float_edges =
   [ 0.0; -0.0; -3.0; 9007199254740991.0; 9007199254740992.0;
     9007199254740994.0; 1e16; 1e17; 0.1; 5e-324; 2.2250738585072014e-308;
-    max_float; -.max_float; Float.nan; -.Float.nan; infinity; neg_infinity ]
+    max_float; -.max_float; Float.nan; -.Float.nan; infinity; neg_infinity;
+    1000000000000000.25; 1000000000000000.75; Float.pred 1e-6 ]
 
 let json_number x =
   if Float.is_nan x then "null"
@@ -258,10 +259,22 @@ let json_number x =
   else if x = neg_infinity then "-1e999"
   else Printf.sprintf "%.17g" x
 
+(* A double of either sign with 52 random mantissa bits and binary
+   exponent [e]. *)
+let with_exponent neg e m =
+  Int64.float_of_bits
+    (Int64.logor
+       (Int64.shift_left (Int64.of_int ((if neg then 2048 else 0) + e + 1023)) 52)
+       (Int64.logand m 0xF_FFFF_FFFF_FFFFL))
+
 (* Random bit patterns (NaNs and infinities included), integral floats
-   around the 2^53 bound, dyadic fractions and the edges.  Each float is
-   written twice in a row through one writer, the second time from the
-   memo. *)
+   around the 2^53 bound, dyadic fractions and the edges; then the exact
+   path's domain: bit patterns with exponents spread over
+   1e-8 <= |x| < 2^53, so both sides of each range edge are drawn, exact
+   ties at the 17th digit ((2m+1)/4 in [1e15, 2^51), which glibc rounds
+   half to even), the neighbours of every 10^k next to the range and
+   inside it, and the range's own edges.  Each float is written twice in
+   a row through one writer, the second time from the memo. *)
 let prop_float_emitter =
   QCheck2.Test.make ~name:"float emitter = Printf %.17g" ~count:2000
     QCheck2.Gen.(
@@ -270,7 +283,20 @@ let prop_float_emitter =
            [ map Int64.float_of_bits int64;
              map (fun i -> Float.of_int (i asr 8)) int;
              map (fun i -> Float.of_int i /. 1024.0) (int_range (-100_000) 100_000);
-             oneofl float_edges ]))
+             oneofl float_edges;
+             map3 with_exponent bool (int_range (-27) 52) int64;
+             map2
+               (fun m neg ->
+                 let x = Float.of_int ((2 * m) + 1) /. 4.0 in
+                 if neg then -.x else x)
+               (int_range 2_000_000_000_000_000 4_503_599_627_370_495)
+               bool;
+             map2
+               (fun k up ->
+                 let p = float_of_string (Printf.sprintf "1e%d" k) in
+                 if up then Float.succ p else Float.pred p)
+               (int_range (-7) 16) bool;
+             oneofl [ Float.pred 1e-6; 1e-6; 4503599627370495.5 ] ]))
     (fun xs ->
       let written emit =
         let w = J.Writer.create () in
@@ -312,6 +338,32 @@ let test_int_emitter_edges () =
       Alcotest.(check string) (string_of_int n) (string_of_int n)
         (Buffer.contents (J.Writer.buffer w)))
     [ 0; 9; -9; 10; -10; min_int; max_int ]
+
+(* 10,000 records with distinct non-integral dates and shares, encoded
+   twice through one writer: the second pass reuses the buffer's
+   capacity, so every word it allocated would be the emitters' own. *)
+let test_writer_allocates_nothing () =
+  let events =
+    Array.init 10_000 (fun i ->
+        let t = (Float.of_int i +. 0.1) /. 3.0 in
+        if i land 1 = 0 then J.Sim_event { time = t; kind = J.Completion; subject = i }
+        else
+          J.Segment
+            { start_time = t; end_time = t +. 0.5;
+              shares = [ (i mod 7, [ (i, 1.0 /. 3.0); (i + 1, 1.0) ]) ] })
+  in
+  let w = J.Writer.create () in
+  let encode () =
+    for i = 0 to Array.length events - 1 do
+      J.Writer.line w events.(i)
+    done
+  in
+  encode ();
+  Buffer.clear (J.Writer.buffer w);
+  let w0 = Gc.minor_words () in
+  encode ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words of the second pass" 0.0 words
 
 (* ---- positions, sink, writer windows ---------------------------------- *)
 
@@ -660,6 +712,8 @@ let suite =
       Alcotest.test_case "float emitter edges" `Quick test_float_emitter_edges;
       QCheck_alcotest.to_alcotest prop_int_emitter;
       Alcotest.test_case "int emitter edges" `Quick test_int_emitter_edges;
+      Alcotest.test_case "writer allocates nothing" `Quick
+        test_writer_allocates_nothing;
       Alcotest.test_case "journal positions and sink" `Quick
         (sandboxed test_positions);
       Alcotest.test_case "writer windows round-trip" `Quick

@@ -531,6 +531,16 @@ let test_checkpoint_corruption_detected () =
       expect_failure "two slot records for one slot";
       reseal ~from:"slot 1 1 0 8 0 8" ~into:"slot 1 -1 0 8 0 8";
       expect_failure "negative external id";
+      (* Floats outside their domains: a job of size 0, more work left
+         than the job has, NaN work, a machine given 5 times over. *)
+      reseal ~from:"slot 1 1 0 8 0 8" ~into:"slot 1 1 0 0 0 0";
+      expect_failure "size 0";
+      reseal ~from:"slot 1 1 0 8 0 8" ~into:"slot 1 1 0 8 0 9";
+      expect_failure "remaining 9 of 8";
+      reseal ~from:"slot 1 1 0 8 0 8" ~into:"slot 1 1 0 8 0 nan";
+      expect_failure "NaN remaining";
+      reseal ~from:"pentry 0 1 0 1" ~into:"pentry 0 1 0 5";
+      expect_failure "share 5";
       Fsio.write_atomic ~path:ckpt original;
       let r2 = Service.resume cfg source in
       Alcotest.(check int) "fixture resumes to drain" 3
