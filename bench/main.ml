@@ -408,11 +408,15 @@ let run_serve () =
   let mean_size =
     Array.fold_left ( +. ) 0.0 sizes /. float_of_int (Array.length sizes)
   in
-  (* A deliberate overload, not a steady state: at 200,000 jobs (CI)
-     the pool peaks at 4096/4096, the queue at 1024/1024, and Drop
-     discards 39,491 jobs (19.7%); at 10^6 jobs it discards 238,926.
-     The full pool and queue are what make the [within_cap] gate
-     meaningful. *)
+  (* 0.9 x the nominal capacity (total speed / mean size) is a deliberate
+     overload, not 90% utilization.  Jobs pick a databank uniformly, so
+     work splits by databank size, and databank 0 carries 62% of it
+     (744 of 1,198) yet is replicated only on the two slowest clusters
+     (speeds 15 + 9 of 48): its share alone asks 0.9 x 0.62 x 48 = 26.8
+     of their 24.  At 200,000 jobs (CI) the pool peaks at 4096/4096, the
+     queue at 1024/1024, and Drop discards 39,491 jobs (19.7%); at 10^6
+     jobs it discards 238,926.  The full pool and queue are what make the
+     [within_cap] gate meaningful. *)
   let rate =
     0.9 *. Gripps_model.Platform.total_speed platform /. mean_size
   in
@@ -501,12 +505,10 @@ let run_objectives () =
   let report =
     Sim.run_report_flat ~horizon:1e9 Gripps_sched.List_sched.flat_swrpt inst
   in
-  let completion =
-    Array.mapi
-      (fun j c ->
-        match c with Some t -> t | None -> raise (M.Incomplete j))
-      report.Sim.schedule.Gripps_model.Schedule.completion
-  in
+  let completion = report.Sim.schedule.Gripps_model.Schedule.completion in
+  Array.iteri
+    (fun j c -> if Float.is_nan c then raise (M.Incomplete j))
+    completion;
   let objectives =
     [ M.Makespan; M.Max_flow; M.Sum_flow; M.Max_stretch; M.Sum_stretch;
       M.Lp_stretch 1.0; M.Lp_stretch 2.0; M.Lp_stretch 3.0;
@@ -555,9 +557,10 @@ let run_objectives () =
   check "record:false metrics = record:true metrics"
     (recorded.Sim.metrics = unrecorded.Sim.metrics);
   (* Zero-allocation steady state, unchanged with metrics via eval: same
-     posture and budget as test/test_flat.ml — the epilogue's O(n) copy
-     amortizes to ~2 words/event on this workload, so any per-event leak
-     introduced by the eval path blows the 3.0 cap. *)
+     posture and budget as test/test_flat.ml — the epilogue allocates
+     nothing per job, set-up amortizes to ~0.09 words/event on this
+     workload, so any per-event or per-job leak introduced by the eval
+     path blows the 0.5 cap. *)
   let mw_per_event =
     Gripps_obs.Obs.with_level Gripps_obs.Obs.Counters (fun () ->
         let cfg =
@@ -578,9 +581,9 @@ let run_objectives () =
   check
     (Printf.sprintf
        "record:false steady state allocation-free (%.3f minor words/event, \
-        cap 3.0)"
+        cap 0.5)"
        mw_per_event)
-    (mw_per_event <= 3.0);
+    (mw_per_event <= 0.5);
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n  \"repeats\": %d,\n  \"jobs\": %d,\n" repeats
@@ -599,7 +602,7 @@ let run_objectives () =
   List.iter
     (fun (name, value, ns) -> Printf.printf "%-22s %14.6f %14.1f\n" name value ns)
     timings;
-  Printf.printf "record:false steady state: %.3f minor words/event (cap 3.0)\n"
+  Printf.printf "record:false steady state: %.3f minor words/event (cap 0.5)\n"
     mw_per_event;
   Printf.eprintf "objectives: wrote %s\n%!" out;
   if !failed then exit 1

@@ -91,10 +91,14 @@ let to_sorted_list h =
 
 module Indexed = struct
   type t = {
-    keys : float array;  (* key per id; meaningful while pos.(id) >= 0 *)
-    pos : int array;     (* heap slot of id, or -1 when absent *)
-    heap : int array;    (* slots 0..size-1 hold member ids *)
-    hkeys : float array; (* key per SLOT: hkeys.(i) = keys.(heap.(i)).
+    keys : float array;  (* key per id; meaningful while pos.(id) >= 0.
+                            Shared by every heap of a family. *)
+    pos : int array;     (* heap slot of id, or -1 when the id is in no
+                            heap of the family.  Shared like [keys]: an
+                            id lives in at most one heap, so one
+                            id-indexed pair serves them all. *)
+    mutable heap : int array;    (* slots 0..size-1 hold member ids *)
+    mutable hkeys : float array; (* key per SLOT: hkeys.(i) = keys.(heap.(i)).
                             Sift comparisons read this column instead of
                             chasing [keys.(id)] through random ids — on a
                             deep heap the id-indexed reads are a cache
@@ -106,13 +110,23 @@ module Indexed = struct
     mutable size : int;
   }
 
+  (* The slot columns start this small and double as members arrive, so
+     a heap costs what its largest member count needs, not its id
+     space. *)
+  let initial_slots = 16
+
+  let family ~capacity k =
+    if capacity < 0 then invalid_arg "Heap.Indexed.family: negative capacity";
+    if k < 0 then invalid_arg "Heap.Indexed.family: negative count";
+    let keys = Array.make capacity 0.0 and pos = Array.make capacity (-1) in
+    let slots = min capacity initial_slots in
+    Array.init k (fun _ ->
+        { keys; pos; heap = Array.make slots 0; hkeys = Array.make slots 0.0;
+          size = 0 })
+
   let create ~capacity =
     if capacity < 0 then invalid_arg "Heap.Indexed.create: negative capacity";
-    { keys = Array.make capacity 0.0;
-      pos = Array.make capacity (-1);
-      heap = Array.make capacity 0;
-      hkeys = Array.make capacity 0.0;
-      size = 0 }
+    (family ~capacity 1).(0)
 
   let capacity h = Array.length h.pos
   let size h = h.size
@@ -122,13 +136,20 @@ module Indexed = struct
     if id < 0 || id >= Array.length h.pos then
       invalid_arg ("Heap.Indexed." ^ name ^ ": id out of range")
 
+  (* Membership in [h] itself: [pos] is shared, so the slot it names must
+     be one of [h]'s live slots and hold [id] (a sibling's member has its
+     slot in the sibling). *)
+  let member h id =
+    let i = h.pos.(id) in
+    i >= 0 && i < h.size && h.heap.(i) = id
+
   let mem h id =
     check h id "mem";
-    h.pos.(id) >= 0
+    member h id
 
   let key h id =
     check h id "key";
-    if h.pos.(id) < 0 then invalid_arg "Heap.Indexed.key: absent id";
+    if not (member h id) then invalid_arg "Heap.Indexed.key: absent id";
     h.keys.(id)
 
   (* Strict (key, id) lexicographic order: all members are distinct ids,
@@ -170,9 +191,20 @@ module Indexed = struct
       sift_down h !s
     end
 
+  (* Double the slot columns (never past the id space: every member is a
+     distinct id). *)
+  let grow h =
+    let n = min (Array.length h.pos) (max initial_slots (2 * h.size)) in
+    let heap = Array.make n 0 and hkeys = Array.make n 0.0 in
+    Array.blit h.heap 0 heap 0 h.size;
+    Array.blit h.hkeys 0 hkeys 0 h.size;
+    h.heap <- heap;
+    h.hkeys <- hkeys
+
   (* Append id (whose key is staged in [keys]) at the bottom and restore
      the heap property. *)
   let append h id =
+    if h.size = Array.length h.heap then grow h;
     h.heap.(h.size) <- id;
     h.hkeys.(h.size) <- h.keys.(id);
     h.pos.(id) <- h.size;
@@ -187,8 +219,8 @@ module Indexed = struct
 
   let update h id k =
     check h id "update";
+    if not (member h id) then invalid_arg "Heap.Indexed.update: absent id";
     let i = h.pos.(id) in
-    if i < 0 then invalid_arg "Heap.Indexed.update: absent id";
     h.keys.(id) <- k;
     h.hkeys.(i) <- k;
     sift_up h i;
@@ -196,8 +228,8 @@ module Indexed = struct
 
   let remove h id =
     check h id "remove";
+    if not (member h id) then invalid_arg "Heap.Indexed.remove: absent id";
     let i = h.pos.(id) in
-    if i < 0 then invalid_arg "Heap.Indexed.remove: absent id";
     let last = h.size - 1 in
     h.size <- last;
     h.pos.(id) <- -1;
@@ -229,8 +261,9 @@ module Indexed = struct
 
   let update_keyed h id =
     check h id "update_keyed";
+    if not (member h id) then
+      invalid_arg "Heap.Indexed.update_keyed: absent id";
     let i = h.pos.(id) in
-    if i < 0 then invalid_arg "Heap.Indexed.update_keyed: absent id";
     h.hkeys.(i) <- h.keys.(id);
     sift_up h i;
     sift_down h h.pos.(id)

@@ -33,27 +33,48 @@ val to_sorted_list : 'a t -> 'a list
     scheduler reproduce a sort-based one bit for bit.
 
     Backing for [List_sched]'s rule engine: one heap per databank keyed
-    by the priority rule, ids = job ids (batch) or slot ids (daemon). *)
+    by the priority rule, ids = job ids (batch) or slot ids (daemon).
+
+    {b Memory.}  A heap is two id-indexed columns ([keys], [pos]: one
+    word each per id of the capacity) and two slot columns (the heap
+    array and its keys) that start at 16 cells and double with the
+    member count.  A {!family} of heaps shares one [keys]/[pos] pair,
+    since each id lives in at most one of them: [k] heaps over [n] ids
+    cost [2n] words plus their members, not [4kn]. *)
 module Indexed : sig
   type t
 
   val create : capacity:int -> t
-  (** Empty heap accepting ids in [0, capacity).
+  (** Empty heap accepting ids in [0, capacity): a family of one.
       @raise Invalid_argument on a negative capacity. *)
+
+  val family : capacity:int -> int -> t array
+  (** [family ~capacity k]: [k] empty heaps over the ids [0, capacity)
+      sharing one id-indexed key and position column.  An id is a member
+      of at most one heap of the family at a time: {!add} refuses an id
+      present in any of them, and {!mem}, {!key}, {!update} and
+      {!remove} address the heap they are given — a sibling's member is
+      absent from it.  The key cell of an id is shared too, so
+      {!put_key} must only stage ids in no heap or in the heap it is
+      then given to.
+      @raise Invalid_argument on a negative capacity or count. *)
 
   val capacity : t -> int
   val size : t -> int
   val is_empty : t -> bool
 
   val mem : t -> int -> bool
-  (** @raise Invalid_argument on an out-of-range id (all id-taking
+  (** Is the id a member of this heap (not of a sibling in its
+      family)?
+      @raise Invalid_argument on an out-of-range id (all id-taking
       operations do). *)
 
   val key : t -> int -> float
   (** Current key of a member. @raise Invalid_argument if absent. *)
 
   val add : t -> int -> float -> unit
-  (** @raise Invalid_argument if the id is already present. *)
+  (** @raise Invalid_argument if the id is already present in this heap
+      or in a sibling of its family. *)
 
   val update : t -> int -> float -> unit
   (** Re-key a member (decrease or increase).
@@ -85,7 +106,8 @@ module Indexed : sig
 
   val add_keyed : t -> int -> unit
   (** {!add} with the key already staged by {!put_key} (or left behind
-      by {!remove}).  @raise Invalid_argument if already present. *)
+      by {!remove}).  @raise Invalid_argument if already present in the
+      family. *)
 
   val update_keyed : t -> int -> unit
   (** Restore heap order around [id] after {!put_key} changed its key.

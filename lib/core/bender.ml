@@ -7,7 +7,7 @@ let arrived_delta inst st =
   let sizes =
     List.filter_map
       (fun jid ->
-        if Sim.is_released st jid then Some (Instance.job inst jid).Job.size
+        if Sim.is_released st jid then Some (Instance.size inst jid)
         else None)
       (List.init (Instance.num_jobs inst) Fun.id)
   in
@@ -21,7 +21,7 @@ let arrived_delta inst st =
 let min_arrived_size inst st =
   List.fold_left
     (fun acc jid ->
-      if Sim.is_released st jid then Float.min acc (Instance.job inst jid).Job.size
+      if Sim.is_released st jid then Float.min acc (Instance.size inst jid)
       else acc)
     infinity
     (List.init (Instance.num_jobs inst) Fun.id)
@@ -52,8 +52,10 @@ let bender98 =
               Hashtbl.reset deadlines;
               List.iter
                 (fun jid ->
-                  let j = Instance.job inst jid in
-                  let d = j.Job.release +. (alpha *. s_star *. j.Job.size) in
+                  let d =
+                    Instance.release inst jid
+                    +. (alpha *. s_star *. Instance.size inst jid)
+                  in
                   Hashtbl.replace deadlines jid d)
                 (Sim.active_jobs st)
             | exception Stretch_solver.Budget_exhausted _ -> ())
@@ -80,10 +82,9 @@ let bender02 =
       let order =
         Sim.active_jobs st
         |> List.map (fun j ->
-               let job = Instance.job inst j in
                let s =
-                 pseudo_stretch ~delta ~min_size ~size:job.Job.size
-                   ~release:job.Job.release ~now:(Sim.now st)
+                 pseudo_stretch ~delta ~min_size ~size:(Instance.size inst j)
+                   ~release:(Instance.release inst j) ~now:(Sim.now st)
                in
                (* Decreasing pseudo-stretch: negate for ascending sort. *)
                ((-.s, j), j))

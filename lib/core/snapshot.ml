@@ -91,11 +91,10 @@ let stretch_floor st =
     match Sim.completion_time st jid with
     | None -> ()
     | Some c ->
-      let j = Instance.job inst jid in
       let s =
         Q.div
-          (Q.sub (Q.of_float c) (Q.of_float j.Job.release))
-          (Q.of_float j.Job.size)
+          (Q.sub (Q.of_float c) (Q.of_float (Instance.release inst jid)))
+          (Q.of_float (Instance.size inst jid))
       in
       if Q.gt s !floor then floor := s
   done;
@@ -103,10 +102,12 @@ let stretch_floor st =
 
 let of_instance ?(subset = fun _ -> true) inst =
   let platform = Instance.platform inst in
+  (* Records only for the jobs in the subset: Bender98 asks for the
+     released prefix at every replan. *)
   let jobs =
-    Array.to_list (Instance.jobs inst)
-    |> List.filter (fun (j : Job.t) -> subset j.id)
-    |> List.map (fun (j : Job.t) -> (j, Q.of_float j.size))
+    List.init (Instance.num_jobs inst) Fun.id
+    |> List.filter subset
+    |> List.map (fun jid -> (Instance.job inst jid, Q.of_float (Instance.size inst jid)))
   in
   make_snapshot platform ~now:Q.zero ~jobs
 
@@ -115,4 +116,4 @@ let expand_commitments t per_virtual =
     (fun (vid, comms) -> List.map (fun real -> (real, comms)) (t.members vid))
     per_virtual
 
-let sizes_fn inst jid = Q.of_float (Instance.job inst jid).Job.size
+let sizes_fn inst jid = Q.of_float (Instance.size inst jid)

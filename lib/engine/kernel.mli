@@ -111,8 +111,10 @@ type t = {
   size : float array;  (** per-job (or per-slot) total work *)
   remaining : float array;
   ctimes : float array;
-      (** completion dates; Sim keeps NaN while pending, the daemon
-          treats cells as scratch (slots recycle) *)
+      (** completion dates; Sim keeps NaN while pending — the
+          {!Gripps_model.Schedule.t} convention, so its report takes the
+          column as its completion vector — and the daemon treats cells
+          as scratch (slots recycle) *)
   lost : float array;  (** per-job Mflop destroyed by crashes *)
   lost_acc : float array;
       (** [lost_acc.(0)]: scalar total of destroyed work, accumulated in

@@ -3,7 +3,7 @@ module J = Gripps_obs.Obs.Journal
 
 let schedule_of_journal inst events =
   let nj = Instance.num_jobs inst in
-  let completion = Array.make nj None in
+  let completion = Array.make nj nan in
   let segments = ref [] in
   List.iter
     (fun (e : J.event) ->
@@ -11,7 +11,7 @@ let schedule_of_journal inst events =
       | J.Sim_event { time; kind = J.Completion; subject } ->
         if subject < 0 || subject >= nj then
           invalid_arg "Replay: completion record for unknown job";
-        completion.(subject) <- Some time
+        completion.(subject) <- time
       | J.Segment { start_time; end_time; shares } ->
         List.iter
           (fun (_, js) ->

@@ -142,14 +142,13 @@ module Blind = struct
   let is_completed = is_completed
   let machine_up = machine_up
 
-  let job_field name field v j =
+  let check_released name v j =
     if j < 0 || j >= Array.length v.released || not v.released.(j) then
-      invalid_arg ("Sim.Blind." ^ name ^ ": job not released");
-    field (Instance.job v.inst j)
+      invalid_arg ("Sim.Blind." ^ name ^ ": job not released")
 
-  let databank v j = job_field "databank" (fun (j : Job.t) -> j.databank) v j
-  let release v j = job_field "release" (fun (j : Job.t) -> j.release) v j
-  let user v j = job_field "user" (fun (j : Job.t) -> j.user) v j
+  let databank v j = check_released "databank" v j; Instance.databank v.inst j
+  let release v j = check_released "release" v j; Instance.release v.inst j
+  let user v j = check_released "user" v j; Instance.user v.inst j
 
   let at_boundary v =
     let rec go i = i < v.ev_len && (v.ev_kinds.(i) = k_boundary || go (i + 1)) in
@@ -246,7 +245,7 @@ let check_plan st name (b : Plan_buf.t) =
         invalid_arg (name ^ ": job allocated before release");
       if is_completed st jid then
         invalid_arg (name ^ ": completed job allocated");
-      if not (Machine.hosts m (Instance.job st.inst jid).Job.databank) then
+      if not (Machine.hosts m (Instance.databank st.inst jid)) then
         invalid_arg (name ^ ": job allocated to machine missing its databank")
     done
   done;
@@ -291,12 +290,10 @@ let run_core ?horizon ?(faults = []) ?(loss = Fault.Crash) ~record ~name
       last_kind = -1;
       last_subj = 0 }
   in
+  let release = Instance.releases inst in
   Array.fill k.Kernel.ctimes 0 nj nan;
-  for j = 0 to nj - 1 do
-    let size = (Instance.job inst j).Job.size in
-    k.Kernel.size.(j) <- size;
-    k.Kernel.remaining.(j) <- size
-  done;
+  Array.blit (Instance.sizes inst) 0 k.Kernel.size 0 nj;
+  Array.blit (Instance.sizes inst) 0 k.Kernel.remaining 0 nj;
   (* The effective fault trace: explicit edges merged with the platform's
      static downtime intervals. *)
   k.Kernel.trace <- Fault.merge faults (Fault.of_platform platform);
@@ -379,12 +376,11 @@ let run_core ?horizon ?(faults = []) ?(loss = Fault.Crash) ~record ~name
   let rec pop_arrivals () =
     if
       !next_arrival < nj
-      && (Instance.job inst !next_arrival).Job.release
-         <= k.Kernel.clock.(0) +. 1e-12
+      && release.(!next_arrival) <= k.Kernel.clock.(0) +. 1e-12
     then begin
       let j = !next_arrival in
       st.released.(j) <- true;
-      let size = (Instance.job inst j).Job.size in
+      let size = k.Kernel.size.(j) in
       if size <= 1e-9 *. fmax size k.Kernel.yard.(0) then
         Vec.push k.Kernel.tiny j;
       push_event st k_arrival j;
@@ -427,7 +423,7 @@ let run_core ?horizon ?(faults = []) ?(loss = Fault.Crash) ~record ~name
      scan, but the batch order contract is arrivals first, faults second
      — which is exactly how the kernel's flip record lets us emit them. *)
   if nj > 0 then begin
-    k.Kernel.clock.(0) <- (Instance.job inst 0).Job.release;
+    k.Kernel.clock.(0) <- release.(0);
     st.ev_len <- 0;
     Kernel.pop_faults k;
     pop_arrivals ();
@@ -453,8 +449,7 @@ let run_core ?horizon ?(faults = []) ?(loss = Fault.Crash) ~record ~name
     Kernel.fold_next_completion k;
     let nowv = k.Kernel.clock.(0) in
     let arrival_t =
-      if !next_arrival < nj then (Instance.job inst !next_arrival).Job.release
-      else infinity
+      if !next_arrival < nj then release.(!next_arrival) else infinity
     in
     let fault_t =
       match k.Kernel.trace with e :: _ -> e.Fault.time | [] -> infinity
@@ -529,23 +524,22 @@ let run_core ?horizon ?(faults = []) ?(loss = Fault.Crash) ~record ~name
     end
   done;
   if J.on () then J.record (J.Run_end { time = now st; completed = nj });
-  let completion =
-    Array.init nj (fun j ->
-        if is_completed st j then Some k.Kernel.ctimes.(j) else None)
-  in
+  (* The kernel dies with this run, so the report takes its columns as
+     they are: [ctimes] already holds NaN for a pending job, the
+     schedule's convention, and the epilogue allocates nothing per job. *)
   let schedule =
     Schedule.make ~instance:inst
       ~segments:(if record then Schedule.Builder.segments segments else [])
-      ~completion
+      ~completion:k.Kernel.ctimes
   in
   let metrics =
     if record then Metrics.of_schedule schedule
-    else Metrics.of_completion inst ~completion:(Array.copy k.Kernel.ctimes)
+    else Metrics.of_completion inst ~completion:k.Kernel.ctimes
   in
   Obs.Counter.add c_minor_words (int_of_float (Gc.minor_words () -. mw0));
   { schedule;
     metrics;
-    lost = Array.copy k.Kernel.lost;
+    lost = k.Kernel.lost;
     replans = !replan_count;
     events = !event_count;
     journal = J.since mark }

@@ -233,7 +233,9 @@ val run_report_flat :
     (bit-identical to the recorded path).  This removes the last
     per-event allocation, so a steady-state run at [Counters]
     observability allocates nothing per event — the benchmarking
-    posture.
+    posture.  Either way the report's completion vector and [lost] are
+    the run's own kernel columns, not copies, so the end of a run
+    allocates nothing per job.
     @raise Stalled see above.
     @raise Invalid_argument when the scheduler writes an invalid plan
     (oversubscribed machine, down machine, job without its databank,

@@ -64,12 +64,12 @@ let run_instance ?(bender98_max_sites = 3) ?(bender98_max_jobs = 60)
             match objectives with
             | [] -> []
             | objs ->
-              let completion =
-                Array.init (Instance.num_jobs inst) (fun j ->
-                    match report.Sim.schedule.Schedule.completion.(j) with
-                    | Some c -> c
-                    | None -> raise (Metrics.Incomplete j))
-              in
+              let sched = report.Sim.schedule in
+              for j = 0 to Instance.num_jobs inst - 1 do
+                if not (Schedule.is_completed sched j) then
+                  raise (Metrics.Incomplete j)
+              done;
+              let completion = sched.Schedule.completion in
               List.map (fun o -> (o, Metrics.eval o inst ~completion)) objs
           in
           Some

@@ -11,8 +11,11 @@
    report allocations per event.  Below [legacy_cap] it also runs the
    flat path with recording on and the legacy resort-from-scratch oracle
    on the same instance, and checks all three runs are identical —
-   metrics, segment list and completion vector compared structurally,
-   i.e. float by float.  The [identical] bit of the report gates CI. *)
+   metrics, segment list and completion vector compared float by float
+   (completion dates by their bits).  The [identical] bit of the report
+   gates CI.  Each cell also measures bytes per job of its size — the
+   instance, an empty rule engine, and the minor words of set-up — all
+   deterministic counts. *)
 
 open Gripps_model
 open Gripps_engine
@@ -52,6 +55,9 @@ type entry = {
   wall_s : float;
   events_per_s : float;
   mw_per_event : float; (* minor-heap words allocated per event *)
+  instance_bytes_per_job : float;
+  engine_bytes_per_job : float;
+  setup_minor_words_per_job : float;
   legacy : legacy_run option;
 }
 
@@ -95,15 +101,39 @@ let time f =
 let same_report (a : Sim.report) (b : Sim.report) =
   a.Sim.metrics = b.Sim.metrics
   && a.Sim.schedule.Schedule.segments = b.Sim.schedule.Schedule.segments
-  && a.Sim.schedule.Schedule.completion = b.Sim.schedule.Schedule.completion
+  && Schedule.same_completion a.Sim.schedule.Schedule.completion
+       b.Sim.schedule.Schedule.completion
 
 let minor_words () =
   match Gripps_obs.Obs.counter_value "sim.minor_words" with
   | Some w -> w
   | None -> 0
 
+(* Reachable bytes per job of an instance, and of an empty rule engine
+   over it beyond the instance itself (the engine reads the release and
+   databank columns in place).  The engine is built after the timed runs,
+   so it lands in memory they have already sized. *)
+let bytes_per_job inst words =
+  float_of_int (words * (Sys.word_size / 8))
+  /. float_of_int (max 1 (Instance.num_jobs inst))
+
+let instance_bytes_per_job inst =
+  bytes_per_job inst (Obj.reachable_words (Obj.repr inst))
+
+let engine_bytes_per_job inst rule =
+  let e =
+    List_sched.engine ~rule ~platform:(Instance.platform inst)
+      ~capacity:(Instance.num_jobs inst) ~release:(Instance.releases inst)
+      ~db:(Instance.databanks inst)
+  in
+  bytes_per_job inst
+    (Obj.reachable_words (Obj.repr (inst, e)) - Obj.reachable_words (Obj.repr inst))
+
 let measure_cell ~seed ~legacy_cap ~repeats n spec =
+  (* [Gc.minor_words] is per domain, like the counter below. *)
+  let setup0 = Gc.minor_words () in
   let inst = instance_for ~seed n in
+  let setup_mw = Gc.minor_words () -. setup0 in
   let flat = List_sched.flat_scheduler spec.flat in
   (* Headline run: flat path, no schedule recording.  The minor-words
      delta is domain-local (the counter lives in the measuring domain's
@@ -144,8 +174,8 @@ let measure_cell ~seed ~legacy_cap ~repeats n spec =
           l_identical =
             same_report frec l_rep
             && frec.Sim.metrics = rep.Sim.metrics
-            && frec.Sim.schedule.Schedule.completion
-               = rep.Sim.schedule.Schedule.completion }
+            && Schedule.same_completion frec.Sim.schedule.Schedule.completion
+                 rep.Sim.schedule.Schedule.completion }
     end
   in
   { n_target = n; scheduler = spec.s_name; jobs = Instance.num_jobs inst;
@@ -154,6 +184,10 @@ let measure_cell ~seed ~legacy_cap ~repeats n spec =
     mw_per_event =
       (if rep.Sim.events > 0 then float_of_int mw /. float_of_int rep.Sim.events
        else 0.0);
+    instance_bytes_per_job = instance_bytes_per_job inst;
+    engine_bytes_per_job = engine_bytes_per_job inst spec.flat;
+    setup_minor_words_per_job =
+      setup_mw /. float_of_int (max 1 (Instance.num_jobs inst));
     legacy }
 
 let run ?(sizes = default_sizes) ?(legacy_cap = default_legacy_cap)
@@ -190,7 +224,7 @@ let failing_cells r =
 let to_json r =
   let buf = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"schema\": \"gripps-bench-scale/3\",\n";
+  add "{\n  \"schema\": \"gripps-bench-scale/4\",\n";
   add "  \"seed\": %d, \"domains\": %d, \"legacy_cap\": %d, \"repeats\": %d,\n"
     r.seed r.domains r.legacy_cap r.repeats;
   add "  \"entries\": [\n";
@@ -199,8 +233,12 @@ let to_json r =
       add "    {\"n\": %d, \"scheduler\": %S, \"jobs\": %d, \"events\": %d, \
            \"replans\": %d,\n"
         e.n_target e.scheduler e.jobs e.events e.replans;
-      add "     \"wall_s\": %.6f, \"events_per_s\": %.1f, \"mw_per_event\": %.3f"
+      add "     \"wall_s\": %.6f, \"events_per_s\": %.1f, \"mw_per_event\": %.3f,\n"
         e.wall_s e.events_per_s e.mw_per_event;
+      add "     \"instance_bytes_per_job\": %.2f, \"engine_bytes_per_job\": %.2f, \
+           \"setup_minor_words_per_job\": %.2f"
+        e.instance_bytes_per_job e.engine_bytes_per_job
+        e.setup_minor_words_per_job;
       (match e.legacy with
        | None -> add ", \"legacy\": null}"
        | Some l ->
@@ -236,4 +274,15 @@ let render r =
           "-" "-" "-")
     r.entries;
   add "all legacy comparisons identical: %b\n" r.identical;
+  (* The footprint depends on n only: one line per size. *)
+  add "%8s %16s %14s %20s\n" "n" "instance B/job" "engine B/job"
+    "set-up minor w/job";
+  List.iter
+    (fun n ->
+      match List.find_opt (fun e -> e.n_target = n) r.entries with
+      | Some e ->
+        add "%8d %16.2f %14.2f %20.2f\n" n e.instance_bytes_per_job
+          e.engine_bytes_per_job e.setup_minor_words_per_job
+      | None -> ())
+    r.sizes;
   Buffer.contents buf

@@ -12,7 +12,12 @@
     oracle on the same instance, recording a speedup and an identity bit
     (metrics, segment list and completion vector compared structurally
     across all three runs).  The report's
-    [identical] conjunction is the differential gate CI enforces. *)
+    [identical] conjunction is the differential gate CI enforces.
+
+    Each cell also reports three deterministic bytes-per-job figures of
+    its size: the instance's reachable heap, what an empty rule engine at
+    capacity n adds to it, and the minor-heap words that drawing and
+    building the instance allocate. *)
 
 type legacy_run = {
   l_wall_s : float;
@@ -33,6 +38,13 @@ type entry = {
                             the headline run (0 in steady state; the
                             residue is run setup amortized over the
                             events) *)
+  instance_bytes_per_job : float;
+      (** [Obj.reachable_words] of the instance, platform included *)
+  engine_bytes_per_job : float;
+      (** what an empty rule engine at capacity n keeps reachable
+          beyond the instance columns it reads *)
+  setup_minor_words_per_job : float;
+      (** minor-heap words allocated by {!instance_for} *)
   legacy : legacy_run option;  (** [None] above [legacy_cap] *)
 }
 
@@ -54,6 +66,10 @@ val default_sizes : int list
 
 val default_legacy_cap : int
 (** [10_000] — the largest n the O(n log n)-per-event oracle is run at. *)
+
+val instance_for : seed:int -> int -> Gripps_model.Instance.t
+(** [instance_for ~seed n]: the pinned instance of about [n] jobs every
+    scheduler at size [n] runs — a pure function of [(seed, n)]. *)
 
 val run :
   ?sizes:int list ->

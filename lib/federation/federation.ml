@@ -44,24 +44,17 @@ let run ?(pool = Pool.sequential) ?(faults = []) ?loss ?horizon
            Sim.run_report_flat ?horizon ~faults ?loss scheduler sub))
   in
   let completion = Array.make n nan in
-  let completed = Array.make n false in
   let lost = Array.make n 0.0 in
   for s = 0 to k - 1 do
     let _, map = subs.(s) in
     let r = shard_reports.(s) in
-    Array.iteri
-      (fun l c ->
-        let g = map.(l) in
-        (match c with
-        | Some c ->
-          completion.(g) <- c;
-          completed.(g) <- true
-        | None -> ());
-        lost.(g) <- r.Sim.lost.(l))
-      r.Sim.schedule.Schedule.completion
+    for l = 0 to Array.length map - 1 do
+      completion.(map.(l)) <- r.Sim.schedule.Schedule.completion.(l);
+      lost.(map.(l)) <- r.Sim.lost.(l)
+    done
   done;
   for j = 0 to n - 1 do
-    if not completed.(j) then raise (Metrics.Incomplete j)
+    if Float.is_nan completion.(j) then raise (Metrics.Incomplete j)
   done;
   let metrics = Metrics.of_completion inst ~completion in
   let journal =

@@ -113,7 +113,7 @@ let dispatch ?(migrate = false) ~policy shards inst =
       let candidate =
         List.fold_left
           (fun acc (gid, r) ->
-            let db = (Instance.job inst gid).Job.databank in
+            let db = Instance.databank inst gid in
             if Shard.hosts shards.(b) db then Some (gid, r) else acc)
           None unstarted
       in

@@ -26,13 +26,13 @@ type t = {
 }
 
 let flow inst ~completion j =
-  let job = Instance.job inst j in
-  let f = completion.(j) -. job.Job.release in
+  let f = completion.(j) -. Instance.release inst j in
   if f < -1e-6 then invalid_arg "Metrics.flow: completion before release";
   Float.max f 0.0
 
+(* [1.0 /. size] is {!Job.stretch_weight}, written out on the column. *)
 let stretch inst ~completion j =
-  flow inst ~completion j *. Job.stretch_weight (Instance.job inst j)
+  flow inst ~completion j *. (1.0 /. Instance.size inst j)
 
 let slowdown inst ~completion j =
   flow inst ~completion j /. Instance.ideal_time inst j
@@ -95,13 +95,12 @@ let objective_of_string s =
    zero-allocation budget (bench/main.exe objectives gates on it). *)
 
 let[@inline] flow_v inst completion j =
-  let job = Instance.job inst j in
-  let f = completion.(j) -. job.Job.release in
+  let f = completion.(j) -. Instance.release inst j in
   if f < -1e-6 then invalid_arg "Metrics.flow: completion before release";
   Float.max f 0.0
 
 let[@inline] stretch_v inst completion j =
-  flow_v inst completion j *. Job.stretch_weight (Instance.job inst j)
+  flow_v inst completion j *. (1.0 /. Instance.size inst j)
 
 let max_completion inst completion =
   let n = Instance.num_jobs inst in
@@ -197,7 +196,7 @@ let eval obj inst ~completion =
     let acc = Array.make (Instance.num_users inst) 0.0 in
     let n = Instance.num_jobs inst in
     for j = 0 to n - 1 do
-      let u = (Instance.job inst j).Job.user in
+      let u = Instance.user inst j in
       acc.(u) <- acc.(u) +. stretch_v inst completion j
     done;
     Array.fold_left Float.max 0.0 acc
@@ -211,13 +210,10 @@ let of_completion inst ~completion =
 
 let of_schedule (sched : Schedule.t) =
   let inst = sched.Schedule.instance in
-  let completion =
-    Array.init (Instance.num_jobs inst) (fun j ->
-        match sched.Schedule.completion.(j) with
-        | Some c -> c
-        | None -> raise (Incomplete j))
-  in
-  of_completion inst ~completion
+  for j = 0 to Instance.num_jobs inst - 1 do
+    if not (Schedule.is_completed sched j) then raise (Incomplete j)
+  done;
+  of_completion inst ~completion:sched.Schedule.completion
 
 let pp fmt m =
   Format.fprintf fmt

@@ -7,7 +7,7 @@ type segment = {
 type t = {
   instance : Instance.t;
   segments : segment list;
-  completion : float option array;
+  completion : float array;  (* NaN: not completed *)
 }
 
 let make ~instance ~segments ~completion = { instance; segments; completion }
@@ -68,12 +68,19 @@ let machine_busy_time t m =
         acc seg.shares)
     0.0 t.segments
 
-let completion_exn t j =
-  match t.completion.(j) with
-  | Some c -> c
-  | None -> failwith (Printf.sprintf "Schedule.completion_exn: job %d unfinished" j)
+let is_completed t j = not (Float.is_nan t.completion.(j))
 
-let all_completed t = Array.for_all Option.is_some t.completion
+let completion_exn t j =
+  if is_completed t j then t.completion.(j)
+  else failwith (Printf.sprintf "Schedule.completion_exn: job %d unfinished" j)
+
+let all_completed t = Array.for_all (fun c -> not (Float.is_nan c)) t.completion
+
+let same_completion a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
 
 let validate t =
   let errors = ref [] in
@@ -111,14 +118,13 @@ let validate t =
                 if jid < 0 || jid >= nj then
                   err "segment references job %d out of range" jid
                 else begin
-                  let j = Instance.job t.instance jid in
-                  if not (Machine.hosts (Platform.machine platform mid) j.databank)
-                  then
-                    err "job %d runs on machine %d lacking databank %d" jid mid
-                      j.databank;
-                  if seg.start_time < j.release -. 1e-9 then
+                  let db = Instance.databank t.instance jid in
+                  let release = Instance.release t.instance jid in
+                  if not (Machine.hosts (Platform.machine platform mid) db) then
+                    err "job %d runs on machine %d lacking databank %d" jid mid db;
+                  if seg.start_time < release -. 1e-9 then
                     err "job %d runs at %g before release %g" jid seg.start_time
-                      j.release
+                      release
                 end)
               shares
           end)
@@ -126,26 +132,27 @@ let validate t =
     t.segments;
   (* Work accounting and completion consistency. *)
   for jid = 0 to nj - 1 do
-    let j = Instance.job t.instance jid in
+    let size = Instance.size t.instance jid in
+    let release = Instance.release t.instance jid in
     let w = work_received t jid in
-    (match t.completion.(jid) with
-     | Some c ->
-       if abs_float (w -. j.size) > rel_eps *. j.size +. 1e-9 then
-         err "job %d completed but received %g of %g Mflop" jid w j.size;
-       if c < j.release then err "job %d completes at %g before release %g" jid c j.release;
-       (* The job must not run after its recorded completion. *)
-       List.iter
-         (fun seg ->
-           if seg.start_time > c +. 1e-9 then
-             List.iter
-               (fun (_, shares) ->
-                 if List.mem_assoc jid shares then
-                   err "job %d runs after its completion %g" jid c)
-               seg.shares)
-         t.segments
-     | None ->
-       if w > j.size +. (rel_eps *. j.size) +. 1e-9 then
-         err "job %d unfinished yet received %g > %g Mflop" jid w j.size)
+    if is_completed t jid then begin
+      let c = t.completion.(jid) in
+      if abs_float (w -. size) > rel_eps *. size +. 1e-9 then
+        err "job %d completed but received %g of %g Mflop" jid w size;
+      if c < release then err "job %d completes at %g before release %g" jid c release;
+      (* The job must not run after its recorded completion. *)
+      List.iter
+        (fun seg ->
+          if seg.start_time > c +. 1e-9 then
+            List.iter
+              (fun (_, shares) ->
+                if List.mem_assoc jid shares then
+                  err "job %d runs after its completion %g" jid c)
+              seg.shares)
+        t.segments
+    end
+    else if w > size +. (rel_eps *. size) +. 1e-9 then
+      err "job %d unfinished yet received %g > %g Mflop" jid w size
   done;
   List.rev !errors
 

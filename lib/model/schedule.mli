@@ -17,15 +17,15 @@ type segment = {
 
 type t = {
   instance : Instance.t;
-  segments : segment list;            (** chronological *)
-  completion : float option array;    (** [completion.(j)] = C_j, if finished *)
+  segments : segment list;  (** chronological *)
+  completion : float array;
+      (** [completion.(j)] = C_j, or NaN while job [j] is not completed.
+          A NaN cell never equals anything under [=], itself included:
+          compare two vectors with {!same_completion}. *)
 }
 
 val make :
-  instance:Instance.t ->
-  segments:segment list ->
-  completion:float option array ->
-  t
+  instance:Instance.t -> segments:segment list -> completion:float array -> t
 
 (** Amortized O(1) segment accumulator for the simulator's hot loop —
     appends in chronological order without the [seg :: acc] / final
@@ -64,8 +64,15 @@ val work_received : t -> int -> float
 val machine_busy_time : t -> int -> float
 (** Total busy time of a machine across all segments. *)
 
+val is_completed : t -> int -> bool
+(** [completion.(j)] is not NaN. *)
+
 val completion_exn : t -> int -> float
 (** @raise Failure when the job did not complete. *)
 
 val all_completed : t -> bool
+
+val same_completion : float array -> float array -> bool
+(** Equal length and equal bits cell by cell ([Int64.bits_of_float]), so
+    two pending jobs compare equal and [0.0] differs from [-0.0]. *)
 val pp : Format.formatter -> t -> unit

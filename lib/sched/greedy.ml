@@ -33,11 +33,11 @@ let mct =
           Sim.now st +. (work /. speed)
         in
         let place st j =
-          let db = (Instance.job inst j).Job.databank in
+          let db = Instance.databank inst j in
           let best = ref None in
           List.iter
             (fun (m : Machine.t) ->
-              let eta = queue_clear_time st m.id +. ((Instance.job inst j).Job.size /. m.speed) in
+              let eta = queue_clear_time st m.id +. (Instance.size inst j /. m.speed) in
               match !best with
               | Some (_, beta) when beta <= eta -> ()
               | Some _ | None -> best := Some (m.id, eta))
@@ -137,9 +137,9 @@ let mct_div =
         let comms : commitments = Array.make nm [] in
         fun st buf ->
           iter_arrivals st (fun j ->
-              let job = Instance.job inst j in
-              let capable = Platform.hosts_of platform job.Job.databank in
-              ignore (pour comms ~capable ~t0:(Sim.now st) ~size:job.Job.size ~j));
+              let capable = Platform.hosts_of platform (Instance.databank inst j) in
+              ignore
+                (pour comms ~capable ~t0:(Sim.now st) ~size:(Instance.size inst j) ~j));
           (* Play back commitments covering the current date. *)
           let t = Sim.now st in
           let next_edge = ref infinity in

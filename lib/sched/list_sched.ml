@@ -12,7 +12,7 @@ let allocate st ~priority_order buf =
   List.iter
     (fun j ->
       if (not (Sim.is_completed st j)) && Sim.is_released st j then begin
-        let db = (Instance.job inst j).Job.databank in
+        let db = Instance.databank inst j in
         List.iter
           (fun (m : Machine.t) ->
             if free.(m.id) && Sim.machine_up st m.id then begin
@@ -56,7 +56,10 @@ type engine = {
   rule : flat_rule;
   release : float array;              (* driver-owned, id-indexed *)
   db : int array;                     (* driver-owned, id-indexed *)
-  heaps : Heap.Indexed.t array;       (* one heap per databank *)
+  heaps : Heap.Indexed.t array;       (* one heap per databank, one family:
+                                         a job is in its databank's heap
+                                         only, so they share the id-indexed
+                                         key/position columns *)
   hosts : int array array;            (* machines per databank, hosts_of order *)
   dbs_of_machine : int array array;   (* int arrays: closure-free loops *)
   (* walk scratch, persisted across plans *)
@@ -73,7 +76,7 @@ let engine ~rule ~platform ~capacity ~release ~db =
   let nm = Platform.num_machines platform in
   let nd = Platform.num_databanks platform in
   { rule; release; db;
-    heaps = Array.init nd (fun _ -> Heap.Indexed.create ~capacity);
+    heaps = Heap.Indexed.family ~capacity nd;
     hosts =
       Array.init nd (fun d ->
           Platform.hosts_of platform d
@@ -194,11 +197,12 @@ let plan e (k : Kernel.t) buf =
 (* The batch driver: job ids, fed by the engine's event batch.         *)
 (* ------------------------------------------------------------------ *)
 
+(* Release dates and databanks are the instance's own columns: the engine
+   only reads them, so nothing is copied. *)
 let sim_engine rule inst =
-  let n = Instance.num_jobs inst in
-  engine ~rule ~platform:(Instance.platform inst) ~capacity:n
-    ~release:(Array.init n (fun j -> (Instance.job inst j).Job.release))
-    ~db:(Array.init n (fun j -> (Instance.job inst j).Job.databank))
+  engine ~rule ~platform:(Instance.platform inst)
+    ~capacity:(Instance.num_jobs inst) ~release:(Instance.releases inst)
+    ~db:(Instance.databanks inst)
 
 let on_event e st buf =
   let k = Sim.kernel st in

@@ -67,7 +67,11 @@ val engine :
   engine
 (** An engine over ids [0, capacity).  [release] and [db] are the
     driver's id-indexed release-date and databank columns, read (never
-    written) by the engine: an id's cells must be set before {!add}. *)
+    written) by the engine: an id's cells must be set before {!add}.
+    The batch driver passes the instance's own columns.  The per-databank
+    heaps are one {!Gripps_collections.Heap.Indexed.family}, so an empty
+    engine holds two words per id plus O(machines + databanks), and its
+    heap slots grow with the live ids. *)
 
 val replicas : engine -> int -> int
 (** Number of machines hosting the databank. *)

@@ -30,24 +30,60 @@ let platform rng (c : Config.t) =
 let jobs rng (c : Config.t) r =
   let total_speed = Platform.total_speed r.platform in
   let per_db_work = c.density *. total_speed *. c.horizon /. float_of_int c.databases in
-  let all =
-    List.concat
-      (List.init c.databases (fun d ->
-           let size = r.db_sizes.(d) in
-           let rate = per_db_work /. (size *. c.horizon) in
-           Dist.poisson_process rng ~rate ~horizon:c.horizon
-           |> List.map (fun release ->
-                  Job.make ~id:0 ~release ~size ~databank:d)))
+  (* Each databank's Poisson arrivals, databanks in ascending order, go
+     straight into one pair of growable columns: the gaps
+     [Dist.poisson_process] draws, in its order (the draw order fixes
+     every bit of the result), without a list cell or a boxed float per
+     job.  The columns start small and are shared by all databanks: a
+     Table 1 sweep draws thousands of instances of a job or two. *)
+  let release = ref (Array.create_float 16) and databank = ref (Array.make 16 0) in
+  let n = ref 0 in
+  for d = 0 to c.databases - 1 do
+    let rate = per_db_work /. (r.db_sizes.(d) *. c.horizon) in
+    let t = ref 0.0 in
+    t := !t +. Dist.exponential rng ~rate;
+    while not (!t >= c.horizon) do
+      if !n = Array.length !release then begin
+        let grown = Array.create_float (2 * !n) and grown_db = Array.make (2 * !n) 0 in
+        Array.blit !release 0 grown 0 !n;
+        Array.blit !databank 0 grown_db 0 !n;
+        release := grown;
+        databank := grown_db
+      end;
+      !release.(!n) <- !t;
+      !databank.(!n) <- d;
+      incr n;
+      t := !t +. Dist.exponential rng ~rate
+    done
+  done;
+  let n = !n and release = !release and databank = !databank in
+  (* User tags are drawn after every Poisson draw, one per job in
+     databank order, so a single-user configuration (the default, and
+     every historical one) consumes exactly the stream it did before the
+     users axis existed — bit-identity preserved. *)
+  let user = Array.make n 0 in
+  if c.users > 1 then
+    for i = 0 to n - 1 do
+      user.(i) <- Splitmix.int rng c.users
+    done;
+  (* Stable by release date: ties keep draw order. *)
+  let perm = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Float.compare release.(a) release.(b)) perm;
+  let rec build i acc =
+    if i < 0 then acc
+    else begin
+      let p = perm.(i) in
+      let d = databank.(p) in
+      let size = r.db_sizes.(d) in
+      (* [Job.make]'s check: the release dates are non-negative by
+         construction. *)
+      if size <= 0.0 then invalid_arg "Job.make: non-positive size";
+      build (i - 1)
+        ({ Job.id = i; release = release.(p); size; databank = d; user = user.(p) }
+         :: acc)
+    end
   in
-  let tagged =
-    (* Tag after the Poisson draws so a single-user configuration (the
-       default, and every historical one) consumes exactly the same RNG
-       stream as before the users axis existed — bit-identity preserved. *)
-    if c.users <= 1 then all
-    else List.map (fun j -> Job.with_user j (Splitmix.int rng c.users)) all
-  in
-  List.sort Job.compare_by_release tagged
-  |> List.mapi (fun i (j : Job.t) -> { j with id = i })
+  build (n - 1) []
 
 let rec instance rng c =
   let r = platform rng c in

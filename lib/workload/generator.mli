@@ -19,8 +19,15 @@ val platform : Gripps_rng.Splitmix.t -> Config.t -> realized
 val jobs : Gripps_rng.Splitmix.t -> Config.t -> realized -> Job.t list
 (** Per-databank Poisson processes over the arrival window, with rates set
     so the expected total work matches the workload density; the merged
-    flow is sorted by release date.  Every job's size is its databank's
-    size (a motif scans the whole databank). *)
+    flow is sorted by release date (stably: ties keep databank order) and
+    numbered in that order.  Every job's size is its databank's size (a
+    motif scans the whole databank).
+
+    Draw order, which fixes every bit of the result: each databank's
+    arrivals in ascending databank order, then — with more than one
+    user — one user draw per job in that same concatenated order.  The
+    draws land in flat columns; the records are built once, after the
+    sort. *)
 
 val instance : Gripps_rng.Splitmix.t -> Config.t -> Instance.t
 (** [platform] + [jobs], retrying (with the same stream) in the unlikely

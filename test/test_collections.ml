@@ -104,6 +104,85 @@ let prop_indexed_matches_sort =
       in
       Heap.Indexed.to_sorted_list h = expect)
 
+(* A family of heaps over one id space: each operation goes to a random
+   heap; an id sits in at most one heap, so a sibling refuses it and does
+   not see it; a removed id re-added with [add_keyed] has its old key;
+   and each heap drains as the sort of its own (key, id) pairs. *)
+let prop_indexed_family =
+  QCheck2.Test.make ~name:"heap family shares columns, each heap drains as (key, id) sort"
+    ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 0 300)
+        (triple (int_bound 63) (int_bound 2) (float_bound_inclusive 10.0)))
+    (fun ops ->
+      let hs = Heap.Indexed.family ~capacity:64 3 in
+      let model = Hashtbl.create 64 in (* id -> (heap, key) *)
+      let ok = ref true in
+      let refused h id k =
+        match Heap.Indexed.add h id k with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      List.iteri
+        (fun i (id, w, k) ->
+          match Hashtbl.find_opt model id with
+          | None ->
+            Heap.Indexed.add hs.(w) id k;
+            Hashtbl.replace model id (w, k)
+          | Some (h, old) ->
+            if w <> h then
+              ok := !ok && refused hs.(w) id k && not (Heap.Indexed.mem hs.(w) id);
+            if i mod 3 = 0 then begin
+              Heap.Indexed.remove hs.(h) id;
+              if i mod 2 = 0 then begin
+                Heap.Indexed.add_keyed hs.(h) id;
+                ok := !ok && Heap.Indexed.key hs.(h) id = old
+              end
+              else Hashtbl.remove model id
+            end
+            else begin
+              Heap.Indexed.update hs.(h) id k;
+              Hashtbl.replace model id (h, k)
+            end)
+        ops;
+      let drains w =
+        let expect =
+          Hashtbl.fold
+            (fun id (h, k) acc -> if h = w then (k, id) :: acc else acc)
+            model []
+          |> List.sort compare |> List.map snd
+        in
+        let rec drain acc =
+          match Heap.Indexed.pop hs.(w) with
+          | None -> List.rev acc
+          | Some id -> drain (id :: acc)
+        in
+        drain [] = expect
+      in
+      !ok && drains 0 && drains 1 && drains 2)
+
+(* The slot columns start small and grow with the member count: an empty
+   family costs its two shared id columns, and one heap can still take
+   hundreds of members. *)
+let test_indexed_family_growth () =
+  let empty = Heap.Indexed.family ~capacity:100_000 3 in
+  Alcotest.(check bool) "empty family: two words per id" true
+    (Obj.reachable_words (Obj.repr empty) <= (2 * 100_000) + 200);
+  let hs = Heap.Indexed.family ~capacity:1000 2 in
+  let key id = float_of_int (id * 7919 mod 1000) in
+  for id = 999 downto 0 do
+    Heap.Indexed.add hs.(if id mod 5 < 3 then 0 else 1) id (key id)
+  done;
+  Alcotest.(check (pair int int)) "members" (600, 400)
+    (Heap.Indexed.size hs.(0), Heap.Indexed.size hs.(1));
+  List.iter
+    (fun w ->
+      let drained = List.init (Heap.Indexed.size hs.(w)) (fun _ -> Heap.Indexed.pop_exn hs.(w)) in
+      Alcotest.(check (list int)) (Printf.sprintf "heap %d drains sorted" w)
+        (List.sort (fun a b -> compare (key a, a) (key b, b)) drained)
+        drained)
+    [ 0; 1 ]
+
 let test_vec_basic () =
   let v = Vec.create () in
   Alcotest.(check bool) "empty" true (Vec.is_empty v);
@@ -141,4 +220,7 @@ let suite =
       Alcotest.test_case "indexed heap errors" `Quick test_indexed_errors;
       QCheck_alcotest.to_alcotest prop_indexed_matches_sort;
       Alcotest.test_case "vec basic" `Quick test_vec_basic;
-      Alcotest.test_case "vec iter/fold" `Quick test_vec_iter_fold ] )
+      Alcotest.test_case "vec iter/fold" `Quick test_vec_iter_fold;
+      QCheck_alcotest.to_alcotest prop_indexed_family;
+      Alcotest.test_case "indexed heap family growth" `Quick
+        test_indexed_family_growth ] )

@@ -53,11 +53,6 @@ let realize ~seed cfg =
   let faults = W.Generator.fault_trace rng cfg ~machines in
   (inst, faults)
 
-let completion_of (r : Sim.report) =
-  Array.map
-    (function Some c -> c | None -> nan)
-    r.Sim.schedule.Schedule.completion
-
 (* ---- 1-shard degeneration: federation is invisible -------------------- *)
 
 let prop_one_shard_identity =
@@ -77,7 +72,7 @@ let prop_one_shard_identity =
               let jf = sim_events (J.events ()) in
               J.clear ();
               compare plain.Sim.metrics fed.Fed.metrics = 0
-              && compare (completion_of plain) fed.Fed.completion = 0
+              && compare plain.Sim.schedule.Schedule.completion fed.Fed.completion = 0
               && compare jp jf = 0
               && fed.Fed.outcome.Frontend.migrations = 0))
         Reg.registry)

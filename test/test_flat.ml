@@ -17,12 +17,13 @@ let minor_words () =
   | Some w -> w
   | None -> 0
 
-(* The engine allocates O(n) once per run (the completion option array
-   and metric copies of the epilogue) and nothing per event; the
-   epilogue amortizes to ~2 minor words per event on this workload.  A
-   single leaked box in the hot loop adds >= 2 words to every event and
-   blows the 3.0 budget, so the bound pins the loop at zero without
-   being flaky about the fixed epilogue. *)
+(* The engine allocates nothing per event and nothing per job at the end
+   of a run: the report takes the kernel's NaN-pending completion column
+   as it is.  What remains is set-up and buffer growth, about 0.09 minor
+   words per event on this workload.  A single leaked box in the hot
+   loop adds >= 2 words to every event and blows the 0.5 budget, and so
+   would an epilogue that boxed each completion date (5 words a job,
+   about 2 words per event here). *)
 let test_zero_allocation_steady_state () =
   Gripps_obs.Obs.with_level Gripps_obs.Obs.Counters (fun () ->
       let cfg =
@@ -54,15 +55,15 @@ let test_zero_allocation_steady_state () =
         true
         (rep.Sim.events > 5_000);
       Alcotest.(check bool)
-        (Printf.sprintf "engine minor words per event <= 3.0 (measured %.2f)"
+        (Printf.sprintf "engine minor words per event <= 0.5 (measured %.2f)"
            per_event)
         true
-        (per_event <= 3.0);
+        (per_event <= 0.5);
       Alcotest.(check bool)
-        (Printf.sprintf "Gc.minor_words per event <= 3.0 (measured %.2f)"
+        (Printf.sprintf "Gc.minor_words per event <= 0.5 (measured %.2f)"
            gc_per_event)
         true
-        (gc_per_event <= 3.0))
+        (gc_per_event <= 0.5))
 
 (* ---- differential: rule engine vs resort oracle ------------------------- *)
 
@@ -124,7 +125,8 @@ let faults_of outages =
 let same_report (a : Sim.report) (b : Sim.report) =
   a.Sim.metrics = b.Sim.metrics
   && a.Sim.schedule.Schedule.segments = b.Sim.schedule.Schedule.segments
-  && a.Sim.schedule.Schedule.completion = b.Sim.schedule.Schedule.completion
+  && Schedule.same_completion a.Sim.schedule.Schedule.completion
+       b.Sim.schedule.Schedule.completion
   && a.Sim.lost = b.Sim.lost
   && a.Sim.events = b.Sim.events
   && a.Sim.replans = b.Sim.replans

@@ -6,4 +6,4 @@ let () =
       Test_faults.suite; Test_sched.suite; Test_flat.suite; Test_core.suite; Test_workload.suite;
       Test_experiments.suite; Test_snapshot.suite; Test_obs.suite;
       Test_parallel.suite; Test_federation.suite; Test_service.suite;
-      Test_unrelated.suite ]
+      Test_unrelated.suite; Test_bytes.suite ]

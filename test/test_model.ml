@@ -87,6 +87,59 @@ let test_instance_unhosted_databank () =
     (Invalid_argument "Instance.make: job databank hosted nowhere") (fun () ->
       ignore (Instance.make ~platform:p ~jobs:[ mk_job ~databank:1 () ]))
 
+(* The list-based [Instance.make] the columnar one replaced, kept as the
+   oracle: one stable list sort, then validate and renumber in sorted
+   order. *)
+let list_make ~platform ~jobs =
+  List.sort Job.compare_by_release jobs
+  |> List.mapi (fun i (j : Job.t) ->
+         if j.databank < 0 || j.databank >= Platform.num_databanks platform then
+           invalid_arg "Instance.make: job databank out of range";
+         if Platform.hosts_of platform j.databank = [] then
+           invalid_arg "Instance.make: job databank hosted nowhere";
+         { j with id = i })
+  |> Array.of_list
+
+let same_job (a : Job.t) (b : Job.t) =
+  a.id = b.id && a.databank = b.databank && a.user = b.user
+  && Int64.equal (Int64.bits_of_float a.release) (Int64.bits_of_float b.release)
+  && Int64.equal (Int64.bits_of_float a.size) (Int64.bits_of_float b.size)
+
+(* Databank 2 is hosted nowhere and 3 is out of range; releases come
+   from a five-value grid so ties are common, and ids are arbitrary
+   (repeated, unordered), as a caller may pass them. *)
+let prop_instance_matches_list_oracle =
+  let platform =
+    Platform.make
+      ~machines:
+        [ Machine.make ~id:0 ~speed:2.0 ~databanks:[| true; true; false |];
+          Machine.make ~id:1 ~speed:3.0 ~databanks:[| false; true; false |] ]
+      ~num_databanks:3
+  in
+  let job_gen =
+    QCheck2.Gen.(
+      let* id = int_range 0 40 in
+      let* release = map (fun k -> float_of_int k /. 2.0) (int_range 0 4) in
+      let* size = map (fun k -> float_of_int k /. 4.0) (int_range 1 12) in
+      let* databank = frequency [ (20, int_range 0 1); (1, return 2); (1, return 3) ] in
+      let* user = int_range 0 3 in
+      return (Job.with_user (Job.make ~id ~release ~size ~databank) user))
+  in
+  QCheck2.Test.make ~name:"columnar Instance.make = list Instance.make, bit for bit"
+    ~count:400
+    QCheck2.Gen.(list_size (int_range 0 30) job_gen)
+    (fun jobs ->
+      let outcome f =
+        match f () with v -> Ok v | exception Invalid_argument m -> Error m
+      in
+      match
+        ( outcome (fun () -> Instance.jobs (Instance.make ~platform ~jobs)),
+          outcome (fun () -> list_make ~platform ~jobs) )
+      with
+      | Ok got, Ok want -> Array.length got = Array.length want && Array.for_all2 same_job got want
+      | Error a, Error b -> a = b
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 let test_ideal_time () =
   let p = two_machine_platform () in
   let inst =
@@ -103,7 +156,7 @@ let simple_schedule () =
   let segments =
     [ { Schedule.start_time = 0.0; end_time = 2.0; shares = [ (0, [ (0, 1.0) ]) ] } ]
   in
-  Schedule.make ~instance:inst ~segments ~completion:[| Some 2.0 |]
+  Schedule.make ~instance:inst ~segments ~completion:[| 2.0 |]
 
 let test_schedule_valid () =
   let s = simple_schedule () in
@@ -121,7 +174,7 @@ let test_schedule_catches_oversubscription () =
     [ { Schedule.start_time = 0.0; end_time = 1.0;
         shares = [ (0, [ (0, 0.8); (1, 0.8) ]) ] } ]
   in
-  let s = Schedule.make ~instance:inst ~segments ~completion:[| None; None |] in
+  let s = Schedule.make ~instance:inst ~segments ~completion:[| nan; nan |] in
   Alcotest.(check bool) "oversubscription detected" true
     (List.exists
        (fun e -> contains e "oversubscribed")
@@ -134,7 +187,7 @@ let test_schedule_catches_oversubscription () =
   in
   let errors =
     Schedule.validate
-      (Schedule.make ~instance:inst ~segments ~completion:[| None; None |])
+      (Schedule.make ~instance:inst ~segments ~completion:[| nan; nan |])
   in
   Alcotest.(check bool) "NaN sum flagged as oversubscription" true
     (List.exists (fun e -> contains e "oversubscribed") errors);
@@ -148,7 +201,7 @@ let test_schedule_catches_early_start () =
   let segments =
     [ { Schedule.start_time = 0.0; end_time = 1.0; shares = [ (0, [ (0, 1.0) ]) ] } ]
   in
-  let s = Schedule.make ~instance:inst ~segments ~completion:[| Some 1.0 |] in
+  let s = Schedule.make ~instance:inst ~segments ~completion:[| 1.0 |] in
   Alcotest.(check bool) "early start detected" true
     (Schedule.validate s
      |> List.exists (fun e -> contains e "before release"))
@@ -159,7 +212,7 @@ let test_schedule_catches_wrong_machine () =
   let segments =
     [ { Schedule.start_time = 0.0; end_time = 1.0; shares = [ (1, [ (0, 1.0) ]) ] } ]
   in
-  let s = Schedule.make ~instance:inst ~segments ~completion:[| None |] in
+  let s = Schedule.make ~instance:inst ~segments ~completion:[| nan |] in
   Alcotest.(check bool) "restricted availability detected" true
     (Schedule.validate s
      |> List.exists (fun e -> contains e "lacking databank"))
@@ -222,7 +275,7 @@ let test_gantt_contention_marker () =
     [ { Schedule.start_time = 0.0; end_time = 2.0;
         shares = [ (0, [ (0, 0.5); (1, 0.5) ]) ] } ]
   in
-  let s = Schedule.make ~instance:inst ~segments ~completion:[| Some 2.0; Some 2.0 |] in
+  let s = Schedule.make ~instance:inst ~segments ~completion:[| 2.0; 2.0 |] in
   let txt = Gantt.render ~width:8 s in
   Alcotest.(check bool) "shared cells marked" true (String.contains txt '#')
 
@@ -230,4 +283,5 @@ let suite =
   ( fst suite,
     snd suite
     @ [ Alcotest.test_case "printers smoke" `Quick test_printers_smoke;
-        Alcotest.test_case "gantt contention" `Quick test_gantt_contention_marker ] )
+        Alcotest.test_case "gantt contention" `Quick test_gantt_contention_marker;
+        QCheck_alcotest.to_alcotest prop_instance_matches_list_oracle ] )

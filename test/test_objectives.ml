@@ -26,8 +26,7 @@ let completed_instance ?(users = 1) seed =
       .Sim.schedule
   in
   let completion =
-    Array.init (Instance.num_jobs inst) (fun j ->
-        Option.get sched.Schedule.completion.(j))
+    Array.init (Instance.num_jobs inst) (Schedule.completion_exn sched)
   in
   (inst, completion)
 
@@ -132,7 +131,7 @@ let test_incomplete_is_typed () =
   in
   let sched =
     Schedule.make ~instance:inst ~segments:[]
-      ~completion:[| Some 1.0; None |]
+      ~completion:[| 1.0; nan |]
   in
   Alcotest.check_raises "job 1 never completed" (Metrics.Incomplete 1)
     (fun () -> ignore (Metrics.of_schedule sched))
@@ -369,10 +368,12 @@ let test_registry_bits_pinned () =
   let hex = Array.map (Printf.sprintf "%h") in
   List.iter
     (fun (e : E.Sched_registry.entry) ->
-      let got =
+      let sched =
         (Sim.run_report_flat ~horizon:1e9 e.E.Sched_registry.scheduler inst)
-          .Sim.schedule.Schedule.completion
-        |> Array.map Option.get
+          .Sim.schedule
+      in
+      let got =
+        Array.init (Instance.num_jobs inst) (Schedule.completion_exn sched)
       in
       Alcotest.(check (array string))
         e.E.Sched_registry.name
@@ -393,9 +394,9 @@ let test_equi_processor_sharing () =
   let sched = run Gripps_sched.Nonclairvoyant.equi inst in
   Alcotest.(check bool) "complete" true (Schedule.all_completed sched);
   Alcotest.(check (float 1e-6)) "job 0 shares to the end" 2.0
-    (Option.get sched.Schedule.completion.(0));
+    (Schedule.completion_exn sched 0);
   Alcotest.(check (float 1e-6)) "job 1 shares to the end" 2.0
-    (Option.get sched.Schedule.completion.(1))
+    (Schedule.completion_exn sched 1)
 
 let test_rr_rotates () =
   (* Round-robin, quantum 1: job 0 runs [0,1) and finishes; job 1 owns
@@ -409,9 +410,9 @@ let test_rr_rotates () =
   let sched = run Gripps_sched.Nonclairvoyant.rr inst in
   Alcotest.(check bool) "complete" true (Schedule.all_completed sched);
   Alcotest.(check (float 1e-6)) "job 0 first" 1.0
-    (Option.get sched.Schedule.completion.(0));
+    (Schedule.completion_exn sched 0);
   Alcotest.(check (float 1e-6)) "job 1 second" 2.0
-    (Option.get sched.Schedule.completion.(1))
+    (Schedule.completion_exn sched 1)
 
 let prop_blind_schedulers_complete =
   QCheck2.Test.make

@@ -309,7 +309,8 @@ let sim_journal (r : Sim.report) =
 let same_run (a : Sim.report) (b : Sim.report) =
   a.Sim.metrics = b.Sim.metrics
   && a.Sim.schedule.Schedule.segments = b.Sim.schedule.Schedule.segments
-  && a.Sim.schedule.Schedule.completion = b.Sim.schedule.Schedule.completion
+  && Schedule.same_completion a.Sim.schedule.Schedule.completion
+       b.Sim.schedule.Schedule.completion
   && a.Sim.lost = b.Sim.lost
   && a.Sim.replans = b.Sim.replans
   && a.Sim.events = b.Sim.events

@@ -237,7 +237,7 @@ let test_gantt_render () =
     [ { Schedule.start_time = 0.0; end_time = 2.0;
         shares = [ (0, [ (0, 1.0) ]); (1, [ (1, 1.0) ]) ] } ]
   in
-  let s = Schedule.make ~instance:inst ~segments ~completion:[| Some 2.0; Some 2.0 |] in
+  let s = Schedule.make ~instance:inst ~segments ~completion:[| 2.0; 2.0 |] in
   let txt = Gantt.render ~width:10 s in
   let lines = String.split_on_char '\n' txt in
   Alcotest.(check bool) "machine rows present" true

@@ -102,6 +102,64 @@ let test_instance_deterministic () =
       Alcotest.(check (float 0.0)) "same size" j.size j2.Job.size)
     (Instance.jobs i1)
 
+(* ---- differential: the columnar generator vs the list-based one ---- *)
+
+(* The list-based [Generator.jobs] the columnar one replaced, kept as
+   the oracle: per-databank Poisson lists concatenated, user tags mapped
+   over the concatenation, one stable list sort, renumbered records. *)
+let list_jobs rng (c : W.Config.t) (r : W.Generator.realized) =
+  let total_speed = Platform.total_speed r.W.Generator.platform in
+  let per_db_work =
+    c.W.Config.density *. total_speed *. c.W.Config.horizon
+    /. float_of_int c.W.Config.databases
+  in
+  let all =
+    List.concat
+      (List.init c.W.Config.databases (fun d ->
+           let size = r.W.Generator.db_sizes.(d) in
+           let rate = per_db_work /. (size *. c.W.Config.horizon) in
+           Gripps_rng.Dist.poisson_process rng ~rate ~horizon:c.W.Config.horizon
+           |> List.map (fun release -> Job.make ~id:0 ~release ~size ~databank:d)))
+  in
+  let tagged =
+    if c.W.Config.users <= 1 then all
+    else
+      List.map (fun j -> Job.with_user j (Splitmix.int rng c.W.Config.users)) all
+  in
+  List.sort Job.compare_by_release tagged
+  |> List.mapi (fun i (j : Job.t) -> { j with id = i })
+
+(* Field by field, floats by their bits. *)
+let same_job (a : Job.t) (b : Job.t) =
+  a.id = b.id && a.databank = b.databank && a.user = b.user
+  && Int64.equal (Int64.bits_of_float a.release) (Int64.bits_of_float b.release)
+  && Int64.equal (Int64.bits_of_float a.size) (Int64.bits_of_float b.size)
+
+let prop_generator_matches_list_oracle =
+  QCheck2.Test.make ~name:"columnar generator = list generator, bit for bit"
+    ~count:150
+    QCheck2.Gen.(
+      tup5 (int_range 0 100_000) (int_range 1 5) (int_range 1 4)
+        (oneofl [ 0.25; 1.0; 1.5; 3.0 ]) (oneofl [ 2.0; 15.0; 60.0 ]))
+    (fun (seed, databases, users, density, horizon) ->
+      let c =
+        W.Config.make ~sites:3 ~databases ~availability:0.6 ~density ~horizon
+          ~users ()
+      in
+      let rng = Splitmix.create seed in
+      let r = W.Generator.platform rng c in
+      let rng' = Splitmix.copy rng in
+      let got = W.Generator.jobs rng c r in
+      let want = list_jobs rng' c r in
+      List.length got = List.length want
+      && List.for_all2 same_job got want
+      (* both consumed the same draws *)
+      && Int64.equal (Splitmix.next_int64 rng) (Splitmix.next_int64 rng')
+      && (got = []
+         ||
+         let inst = Instance.make ~platform:r.W.Generator.platform ~jobs:got in
+         Array.for_all2 same_job (Instance.jobs inst) (Array.of_list want)))
+
 let suite =
   ( "workload",
     [ Alcotest.test_case "config validation" `Quick test_config_validation;
@@ -110,4 +168,5 @@ let suite =
       Alcotest.test_case "density calibration" `Quick test_workload_density_calibration;
       Alcotest.test_case "jobs sorted within horizon" `Quick
         test_jobs_sorted_and_within_horizon;
-      Alcotest.test_case "deterministic generation" `Quick test_instance_deterministic ] )
+      Alcotest.test_case "deterministic generation" `Quick test_instance_deterministic;
+      QCheck_alcotest.to_alcotest prop_generator_matches_list_oracle ] )
