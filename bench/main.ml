@@ -5,42 +5,23 @@
    - Figure 3(a)/(b) (optimized vs non-optimized on-line heuristic);
    - the §5.3 scheduling-overhead comparison.
 
-   Invoked as `main.exe perf [OUT.json]` it instead runs only the tracked
-   solver benchmark (lib/experiments/perf.ml): times the exact/float
-   solvers on the pinned corpus, writes BENCH_stretch.json (or OUT.json)
-   and exits non-zero if the warm-started solver disagrees with a cold
-   solve — the mode the CI perf smoke job runs.
-
-   Invoked as `main.exe scale [OUT.json]` it runs the large-n scale
-   experiment (lib/experiments/scale.ml): events/sec of the priority
-   rule engine, differentially checked against the legacy resort
-   oracle, written as BENCH_scale.json.  GRIPPS_SCALE_SIZES (e.g.
-   "1000") trims the size grid; exits non-zero on any divergence — the
-   mode the CI scale smoke job runs.
-
-   Invoked as `main.exe serve [OUT.json]` it streams GRIPPS_SERVE_JOBS
-   Poisson jobs (default 10^6) through the crash-safe scheduler daemon
-   with a GRIPPS_SERVE_MAXLIVE slot pool (default 4096), gates on the
-   bounded-memory and drain guarantees, and writes BENCH_serve.json.
-
-   Invoked as `main.exe federate [OUT.json]` it runs the federation-gap
-   experiment (lib/experiments/federation.ml): stretch ratios of the
-   sharded SRPT front-end vs the single-aggregate run, written as
-   BENCH_federate.json, gated on the 1-shard degeneration invariant.
+   Invoked as `main.exe objectives [OUT.json]` it instead runs only the
+   objective-evaluation micro-benchmark (see [run_objectives]).  The
+   solver, scale and federation benchmarks are `gripps_cli perf`,
+   `scale` and `federate --sweep`; each writes its JSON with `--out`.
 
    Scale knobs (environment variables):
      GRIPPS_BENCH_INSTANCES   instances per configuration   (default 3)
      GRIPPS_BENCH_HORIZON     arrival window in seconds     (default 30)
      GRIPPS_BENCH_FIG_INST    instances per density point   (default 10)
      GRIPPS_BENCH_QUOTA      bechamel quota per timing test (default 0.5 s)
-     GRIPPS_PERF_REPEATS      timed repetitions in perf mode (default 5)
+     GRIPPS_OBJ_REPEATS       evaluations per objective      (default 2000)
      GRIPPS_JOBS              worker domains for the sweeps  (default 1;
                               results are identical at any value)
 
-   The bechamel section registers one Test.make per table and figure
-   (timing its aggregation + rendering from the measured sweep) and one
-   per scheduler (timing a full simulated workload — the actual §5.3
-   overhead experiment). *)
+   The bechamel section times each scheduler on a full simulated
+   workload (the §5.3 overhead experiment), the same workload under
+   faults, and the design ablations. *)
 
 open Bechamel
 open Bechamel.Toolkit
@@ -105,34 +86,6 @@ let print_reproduction () =
   Printf.printf "%s\n" (E.Render.overhead_scaling (E.Overhead.scaling ()))
 
 (* ---- bechamel timing tests -------------------------------------------- *)
-
-let table_tests () =
-  let results = Lazy.force sweep_results in
-  List.map
-    (fun (n, _) ->
-      Test.make
-        ~name:(Printf.sprintf "table%d" n)
-        (Staged.stage (fun () ->
-             ignore
-               (E.Render.table
-                  (match n with
-                   | 1 -> E.Tables.table1 results
-                   | 2 | 3 | 4 ->
-                     E.Tables.by_sites results (List.nth [ 3; 10; 20 ] (n - 2))
-                   | 5 | 6 | 7 | 8 | 9 | 10 ->
-                     E.Tables.by_density results
-                       (List.nth [ 0.75; 1.0; 1.25; 1.5; 2.0; 3.0 ] (n - 5))
-                   | 11 | 12 | 13 ->
-                     E.Tables.by_databases results (List.nth [ 3; 10; 20 ] (n - 11))
-                   | _ ->
-                     E.Tables.by_availability results
-                       (List.nth [ 0.3; 0.6; 0.9 ] (n - 14)))))))
-    (E.Tables.all_tables results)
-
-let figure_tests () =
-  let samples = Lazy.force figure_samples in
-  [ Test.make ~name:"figure3a" (Staged.stage (fun () -> ignore (E.Render.figure3a samples)));
-    Test.make ~name:"figure3b" (Staged.stage (fun () -> ignore (E.Render.figure3b samples))) ]
 
 (* The real §5.3 content: wall time of each scheduler on a 3-cluster
    workload. *)
@@ -298,190 +251,6 @@ let run_bechamel tests =
       Printf.printf "%-28s %16s\n" name time)
     (List.sort compare rows)
 
-(* Tracked solver benchmark (CI smoke mode): corpus timings + warm/cold
-   cross-check, written as BENCH_stretch.json. *)
-let run_perf () =
-  let out = if Array.length Sys.argv > 2 then Sys.argv.(2) else "BENCH_stretch.json" in
-  let progress name = Printf.eprintf "perf: measuring %s...\n%!" name in
-  (* The artifact always records a sequential and a parallel sweep leg;
-     GRIPPS_JOBS > 1 widens the parallel one, otherwise it is 2 domains. *)
-  let sweep_domains = max 2 (Gripps_parallel.Pool.domains pool) in
-  let r = E.Perf.run ~sweep_domains ~progress () in
-  print_string (E.Perf.render r);
-  E.Perf.write_json ~path:out r;
-  Printf.eprintf "perf: wrote %s\n%!" out;
-  if not r.E.Perf.all_baseline_match then
-    Printf.eprintf
-      "perf: note: optimum differs from the recorded baseline (expected \
-       when the platform's libm differs from the reference machine's)\n%!";
-  if not r.E.Perf.all_cold_warm_match then begin
-    Printf.eprintf
-      "perf: error: warm-started solver disagrees with cold solve\n%!";
-    exit 1
-  end
-
-(* Large-n scale benchmark (CI smoke mode): events/sec of the flat
-   zero-allocation priority schedulers with the legacy-oracle
-   differential gate, written as BENCH_scale.json.  GRIPPS_SCALE_SIZES
-   trims the size grid (the CI smoke leg runs n=1000 only);
-   GRIPPS_SCALE_REPEATS (default 1) takes the best of N timed runs per
-   cell, the standard answer to wall-clock noise on a contended box.
-   Optional hard gates, both off unless set:
-     GRIPPS_SCALE_MIN_EVENTS_S   minimum events/s any cell may report
-     GRIPPS_SCALE_MAX_MW_PER_EV  maximum minor-words-per-event any cell
-                                 may allocate (steady state is 0; the
-                                 residue is setup amortized over events)
-   Any divergence from the oracle, or any gate violation, names the
-   failing cells and exits non-zero. *)
-let run_scale () =
-  Gripps_engine.Gc_tune.throughput ();
-  let out = if Array.length Sys.argv > 2 then Sys.argv.(2) else "BENCH_scale.json" in
-  let sizes =
-    match Sys.getenv_opt "GRIPPS_SCALE_SIZES" with
-    | None -> E.Scale.default_sizes
-    | Some v ->
-      (try List.map int_of_string (String.split_on_char ',' v)
-       with Failure _ -> E.Scale.default_sizes)
-  in
-  let min_events_s = env_float "GRIPPS_SCALE_MIN_EVENTS_S" 0.0 in
-  let max_mw_per_ev = env_float "GRIPPS_SCALE_MAX_MW_PER_EV" infinity in
-  let repeats = env_int "GRIPPS_SCALE_REPEATS" 1 in
-  let progress k total = Printf.eprintf "\rscale: cell %d/%d%!" k total in
-  let r = E.Scale.run ~sizes ~repeats ~pool ~progress ~seed:42 () in
-  Printf.eprintf "\n%!";
-  print_string (E.Scale.render r);
-  E.Scale.write_json ~path:out r;
-  Printf.eprintf "scale: wrote %s (gc: %s)\n%!" out
-    (Gripps_engine.Gc_tune.describe ());
-  let failed = ref false in
-  if not r.E.Scale.identical then begin
-    failed := true;
-    List.iter
-      (fun (n, s) ->
-        Printf.eprintf
-          "scale: error: n=%d %s: the rule engine diverged from the resort \
-           oracle\n%!"
-          n s)
-      (E.Scale.failing_cells r)
-  end;
-  List.iter
-    (fun (e : E.Scale.entry) ->
-      if e.E.Scale.events_per_s < min_events_s then begin
-        failed := true;
-        Printf.eprintf
-          "scale: error: n=%d %s: %.0f events/s below the %.0f floor\n%!"
-          e.E.Scale.n_target e.E.Scale.scheduler e.E.Scale.events_per_s
-          min_events_s
-      end;
-      if e.E.Scale.mw_per_event > max_mw_per_ev then begin
-        failed := true;
-        Printf.eprintf
-          "scale: error: n=%d %s: %.3f minor words/event above the %.3f cap\n%!"
-          e.E.Scale.n_target e.E.Scale.scheduler e.E.Scale.mw_per_event
-          max_mw_per_ev
-      end)
-    r.E.Scale.entries;
-  if !failed then exit 1
-
-(* Streaming daemon benchmark (CI smoke mode): pushes GRIPPS_SERVE_JOBS
-   Poisson jobs (default 10^6) through the crash-safe daemon with a
-   GRIPPS_SERVE_MAXLIVE slot pool (default 4096) and Drop admission,
-   journaling and checkpoints off.  The arrival rate is a deliberate
-   overload (see [rate] below), so the slot pool and the pending queue
-   both fill up.  Gates on the memory bound (peak live <= max-live, peak
-   queue <= queue-cap) and on draining; written as BENCH_serve.json. *)
-let run_serve () =
-  Gripps_engine.Gc_tune.throughput ();
-  let module S = Gripps_service.Service in
-  let out = if Array.length Sys.argv > 2 then Sys.argv.(2) else "BENCH_serve.json" in
-  let n_jobs = env_int "GRIPPS_SERVE_JOBS" 1_000_000 in
-  let max_live = env_int "GRIPPS_SERVE_MAXLIVE" 4096 in
-  let queue_cap = max_live / 4 in
-  let seed = 42 in
-  let c =
-    W.Config.make ~sites:3 ~databases:3 ~availability:0.6 ~density:1.0
-      ~horizon:60.0 ()
-  in
-  let real = W.Generator.platform (Gripps_rng.Splitmix.create seed) c in
-  let platform = real.W.Generator.platform in
-  let sizes = real.W.Generator.db_sizes in
-  let mean_size =
-    Array.fold_left ( +. ) 0.0 sizes /. float_of_int (Array.length sizes)
-  in
-  (* 0.9 x the nominal capacity (total speed / mean size) is a deliberate
-     overload, not 90% utilization.  Jobs pick a databank uniformly, so
-     work splits by databank size, and databank 0 carries 62% of it
-     (744 of 1,198) yet is replicated only on the two slowest clusters
-     (speeds 15 + 9 of 48): its share alone asks 0.9 x 0.62 x 48 = 26.8
-     of their 24.  At 200,000 jobs (CI) the pool peaks at 4096/4096, the
-     queue at 1024/1024, and Drop discards 39,491 jobs (19.7%); at 10^6
-     jobs it discards 238,926.  The full pool and queue are what make the
-     [within_cap] gate meaningful. *)
-  let rate =
-    0.9 *. Gripps_model.Platform.total_speed platform /. mean_size
-  in
-  let cfg =
-    S.config ~platform ~rule:S.Swrpt ~policy:S.Drop ~max_live ~queue_cap
-      ~source_desc:(Printf.sprintf "bench:seed=%d:jobs=%d" seed n_jobs)
-      ()
-  in
-  Printf.eprintf "serve: %d jobs, rate %.1f/s, max-live %d...\n%!" n_jobs rate
-    max_live;
-  let src = W.Source.poisson ~seed ~rate ~sizes ~jobs:n_jobs () in
-  let t0 = Unix.gettimeofday () in
-  let mw0 = Gc.minor_words () in
-  let r = S.run cfg src in
-  let mw = Gc.minor_words () -. mw0 in
-  let wall = Unix.gettimeofday () -. t0 in
-  let events_per_s = float_of_int r.S.events /. wall in
-  let mw_per_event =
-    if r.S.events > 0 then mw /. float_of_int r.S.events else 0.0
-  in
-  let max_mw_per_ev = env_float "GRIPPS_SERVE_MAX_MW_PER_EV" infinity in
-  let within_cap = r.S.peak_live <= max_live && r.S.peak_queue <= queue_cap in
-  let drained = r.S.outcome = S.Drained in
-  let buf = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"jobs\": %d,\n  \"max_live\": %d,\n  \"queue_cap\": %d,\n" n_jobs
-    max_live queue_cap;
-  add "  \"rate\": %.3f,\n  \"wall_s\": %.3f,\n  \"events\": %d,\n" rate wall
-    r.S.events;
-  add "  \"events_per_s\": %.1f,\n  \"replans\": %d,\n  \"replan_p99_s\": %.6g,\n"
-    events_per_s r.S.replans r.S.replan_p99_s;
-  add "  \"mw_per_event\": %.3f,\n" mw_per_event;
-  add "  \"completed\": %d,\n  \"admitted\": %d,\n  \"dropped\": %d,\n"
-    r.S.metrics.S.completed r.S.admitted r.S.dropped;
-  add "  \"peak_live\": %d,\n  \"peak_queue\": %d,\n" r.S.peak_live
-    r.S.peak_queue;
-  add "  \"max_stretch\": %.6f,\n  \"drained\": %b,\n  \"within_cap\": %b\n}\n"
-    r.S.metrics.S.max_stretch drained within_cap;
-  Gripps_obs.Fsio.write_atomic ~path:out (Buffer.contents buf);
-  Printf.eprintf
-    "serve: %d events in %.2fs (%.0f events/s), %.3f minor words/event, \
-     peak live %d/%d, peak queue %d/%d, p99 replan %.2gs\n%!"
-    r.S.events wall events_per_s mw_per_event r.S.peak_live max_live
-    r.S.peak_queue queue_cap r.S.replan_p99_s;
-  Printf.eprintf "serve: wrote %s\n%!" out;
-  let failed = ref false in
-  if not (within_cap && drained) then begin
-    failed := true;
-    Printf.eprintf
-      "serve: error: daemon %s — memory bound or drain guarantee violated\n%!"
-      (if drained then "exceeded its slot or queue capacity"
-       else "failed to drain the stream")
-  end;
-  (* Allocation gate, same style as the scale gate: the daemon's event
-     loop runs over the shared kernel's flat columns, so steady-state
-     cost per event is a few words (source items and journal/checkpoint
-     machinery are off in this mode). *)
-  if mw_per_event > max_mw_per_ev then begin
-    failed := true;
-    Printf.eprintf
-      "serve: error: %.3f minor words/event above the %.3f cap\n%!"
-      mw_per_event max_mw_per_ev
-  end;
-  if !failed then exit 1
-
 (* Objective-evaluation micro-benchmark (CI smoke mode): times
    Metrics.eval per objective on a pinned completed run, differentially
    checks the new eval path against the classic accumulators and the
@@ -607,58 +376,17 @@ let run_objectives () =
   Printf.eprintf "objectives: wrote %s\n%!" out;
   if !failed then exit 1
 
-(* Federation benchmark (CI smoke mode): the federation-gap experiment —
-   max-/sum-stretch ratios of the sharded SRPT front-end vs the
-   single-aggregate run across the shard grid, written as
-   BENCH_federate.json.  GRIPPS_FED_INSTANCES (default 5) sets the
-   instances averaged per cell.  Gates on the degeneration invariant: a
-   1-shard federation of the first instance must reproduce the plain
-   run's metrics bit for bit; any drift exits non-zero. *)
-let run_federate () =
-  let module Fed = Gripps_federation.Federation in
-  let module Sim = Gripps_engine.Sim in
-  let out =
-    if Array.length Sys.argv > 2 then Sys.argv.(2) else "BENCH_federate.json"
-  in
-  let instances = env_int "GRIPPS_FED_INSTANCES" 5 in
-  let seed = 42 in
-  let progress k total = Printf.eprintf "\rfederate: instance %d/%d%!" k total in
-  let r = E.Federation.run ~pool ~progress ~seed ~instances () in
-  Printf.eprintf "\n%!";
-  print_string (E.Federation.render r);
-  E.Federation.write_json ~path:out r;
-  Printf.eprintf "federate: wrote %s\n%!" out;
-  let sched =
-    match E.Sched_registry.find_scheduler r.E.Federation.scheduler with
-    | Some s -> s
-    | None -> assert false
-  in
-  let inst =
-    W.Generator.instance
-      (Gripps_rng.Splitmix.create (seed + 1_000_003 * 0))
-      r.E.Federation.config
-  in
-  let plain = (Sim.run_report_flat sched inst).Sim.metrics in
-  let one = (Fed.run ~shards:1 ~scheduler:sched inst).Fed.metrics in
-  if compare plain one <> 0 then begin
-    Printf.eprintf
-      "federate: error: 1-shard federation diverged from the \
-       single-aggregate run — this is a bug\n%!";
-    exit 1
-  end
-
 let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "perf" then run_perf ()
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "objectives" then
-    run_objectives ()
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "scale" then run_scale ()
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "serve" then run_serve ()
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "federate" then
-    run_federate ()
-  else begin
+  if Array.length Sys.argv < 2 then begin
     print_reproduction ();
     Printf.printf "=== bechamel timings ===\n%!";
-    run_bechamel
-      (table_tests () @ figure_tests () @ scheduler_tests () @ fault_tests ()
-       @ ablation_tests ())
+    run_bechamel (scheduler_tests () @ fault_tests () @ ablation_tests ())
+  end
+  else if Sys.argv.(1) = "objectives" then run_objectives ()
+  else begin
+    Printf.eprintf
+      "main.exe: unknown mode %s (the solver, scale and federation \
+       benchmarks are gripps_cli perf, scale and federate --sweep)\n"
+      Sys.argv.(1);
+    exit 2
   end

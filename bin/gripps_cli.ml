@@ -408,8 +408,7 @@ let perf_cmd =
       value
       & opt (some int) None
       & info [ "repeats" ] ~docv:"K"
-          ~doc:"Timed repetitions per measurement (median; default \
-                \\$GRIPPS_PERF_REPEATS or 5).")
+          ~doc:"Timed repetitions per measurement (median; default 5).")
   in
   let action json out repeats jobs =
     let progress name = Printf.eprintf "measuring %s...\n%!" name in
@@ -490,12 +489,21 @@ let scale_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"PATH" ~doc:"Also write the JSON document to $(docv).")
   in
-  let action seed sizes legacy_cap schedulers json out jobs =
+  let repeats_t =
+    Arg.(
+      value
+      & opt int 1
+      & info [ "repeats" ] ~docv:"K"
+          ~doc:"Time each cell's headline run $(docv) times and keep the \
+                fastest (events, allocations and the oracle comparison \
+                come from the first run).")
+  in
+  let action seed sizes legacy_cap schedulers json out repeats jobs =
     Gripps_engine.Gc_tune.throughput ();
     let progress k total = Printf.eprintf "\rcell %d/%d%!" k total in
     let r =
-      E.Scale.run ~sizes ~legacy_cap ~schedulers ~pool:(pool_of_jobs jobs)
-        ~progress ~seed ()
+      E.Scale.run ~sizes ~legacy_cap ~schedulers ~repeats
+        ~pool:(pool_of_jobs jobs) ~progress ~seed ()
     in
     Printf.eprintf "\n%!";
     if json then print_string (E.Scale.to_json r)
@@ -527,7 +535,7 @@ let scale_cmd =
     Term.(
       ret
         (const action $ seed_t $ sizes_t $ legacy_cap_t $ schedulers_t $ json_t
-         $ out_t $ jobs_t))
+         $ out_t $ repeats_t $ jobs_t))
 
 (* ---- faults ----------------------------------------------------------- *)
 

@@ -44,8 +44,11 @@ let of_platform platform =
    forever, so a simulation draining work after the arrival window cannot
    deadlock waiting for a repair that was clipped away. *)
 let poisson rng ~mtbf ~mttr ~machines ~until =
-  if mtbf <= 0.0 then invalid_arg "Fault.poisson: non-positive mtbf";
-  if mttr <= 0.0 then invalid_arg "Fault.poisson: non-positive mttr";
+  (* Written as negations so NaN fails them too; an infinite window
+     would draw failures forever. *)
+  if not (mtbf > 0.0) then invalid_arg "Fault.poisson: non-positive mtbf";
+  if not (mttr > 0.0) then invalid_arg "Fault.poisson: non-positive mttr";
+  if not (until < infinity) then invalid_arg "Fault.poisson: until not finite";
   if machines <= 0 then invalid_arg "Fault.poisson: no machines";
   let events = ref [] in
   for m = 0 to machines - 1 do

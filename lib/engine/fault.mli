@@ -53,6 +53,7 @@ val poisson :
     repair time of mean [mttr].  Failures are drawn on [0, until); every
     failure is paired with its repair even when the repair lands past
     [until], so no machine is left down forever.
-    @raise Invalid_argument on non-positive [mtbf]/[mttr]/[machines]. *)
+    @raise Invalid_argument on [mtbf] or [mttr] not positive (NaN
+    included), [machines <= 0], or [until] infinite or NaN. *)
 
 val pp : Format.formatter -> trace -> unit

@@ -15,8 +15,3 @@ let throughput () =
     { c with
       Gc.minor_heap_size = throughput_minor_words;
       space_overhead = throughput_space_overhead }
-
-let describe () =
-  let c = Gc.get () in
-  Printf.sprintf "minor_heap_size=%d space_overhead=%d" c.Gc.minor_heap_size
-    c.Gc.space_overhead

@@ -3,19 +3,12 @@
     The engine's steady-state event loop allocates nothing on the minor
     heap, so GC time is dominated by the bursts around it — instance
     generation, buffer growth, journal flushes.  {!throughput} sizes the
-    minor heap at {!throughput_minor_words} (64 MB on 64-bit) so those
-    bursts trigger rare, cheap scavenges, and raises [space_overhead] to
-    {!throughput_space_overhead} so the major collector stays lazy about
-    multi-gigabyte job columns.  Applied by [bench/main.exe scale],
-    [bench/main.exe serve] and the CLI's [scale]/[serve] commands; a
-    one-way switch (benchmark processes exit anyway), not a scoped
-    override. *)
-
-val throughput_minor_words : int
-val throughput_space_overhead : int
+    minor heap at 64 MB on 64-bit so those bursts trigger rare, cheap
+    scavenges, and raises [space_overhead] to 200 so the major collector
+    stays lazy about multi-gigabyte job columns.  Applied by the CLI's
+    [scale] and [serve] commands and by perfbench's [scale], [serve] and
+    [serve_journal] workloads; a one-way switch (benchmark processes exit
+    anyway), not a scoped override. *)
 
 val throughput : unit -> unit
 (** Apply the throughput posture to the current process. *)
-
-val describe : unit -> string
-(** The live GC knobs, for benchmark provenance lines. *)

@@ -157,7 +157,7 @@ let measure_online ~repeats () =
    and on a [domains]-wide pool, with the rendered aggregate tables
    byte-compared — the tracked evidence that parallelism changes wall
    time and nothing else.  The panel is the cheap half of the portfolio
-   so the benchmark stays in seconds even at GRIPPS_PERF_REPEATS=1. *)
+   so the benchmark stays in seconds even at one repetition. *)
 let sweep_panel = [ "Online"; "Online-EDF"; "SWRPT"; "SRPT"; "SPT"; "MCT" ]
 
 let measure_sweep ~domains () =
@@ -181,13 +181,7 @@ let measure_sweep ~domains () =
     par_speedup = (if par_s > 0.0 then seq_s /. par_s else infinity);
     deterministic = String.equal seq_table par_table }
 
-let default_repeats =
-  match Sys.getenv_opt "GRIPPS_PERF_REPEATS" with
-  | Some v -> (try max 1 (int_of_string v) with Failure _ -> 5)
-  | None -> 5
-
-let run ?(repeats = default_repeats) ?(sweep_domains = 2)
-    ?(progress = fun _ -> ()) () =
+let run ?(repeats = 5) ?(sweep_domains = 2) ?(progress = fun _ -> ()) () =
   let instances =
     List.map
       (fun (spec : spec) ->

@@ -1,11 +1,12 @@
-(** Tracked solver benchmark ([gripps_cli perf], [bench perf]).
+(** Tracked solver benchmark ([gripps_cli perf]).
 
     Times the exact offline max-stretch solver, its float counterpart and
     the on-line heuristic on a pinned seeded corpus, compares against the
-    checked-in pre-optimization baseline ([bench/BASELINE_stretch.json],
-    whose numbers are embedded here as constants), and cross-checks that
-    the warm-started pipeline returns the exact same rational optimum as
-    a cold from-scratch solve. *)
+    pre-optimization baseline (constants in this module's implementation,
+    [baseline] and [baseline_online_ms]; every BENCH_stretch.json entry
+    carries them as its ["baseline"] object), and cross-checks that the
+    warm-started pipeline returns the exact same rational optimum as a
+    cold from-scratch solve. *)
 
 type instance_report = {
   name : string;
@@ -47,10 +48,10 @@ type report = {
 val run :
   ?repeats:int -> ?sweep_domains:int -> ?progress:(string -> unit) -> unit ->
   report
-(** Runs the whole corpus.  [repeats] defaults to [$GRIPPS_PERF_REPEATS]
-    or 5 (median after one warmup run); [sweep_domains] (default 2) is
-    the pool width of the parallel sweep-bench leg; [progress] is called
-    with each instance name before it is measured. *)
+(** Runs the whole corpus.  [repeats] defaults to 5 (median after one
+    warmup run); [sweep_domains] (default 2) is the pool width of the
+    parallel sweep-bench leg; [progress] is called with each instance
+    name before it is measured. *)
 
 val to_json : report -> string
 (** Machine-readable form (the BENCH_stretch.json schema). *)

@@ -75,10 +75,16 @@ let base_config =
   W.Config.make ~sites:3 ~databases:3 ~availability:0.6 ~density:1.0
     ~horizon:1.0 ()
 
+(* Below one job the window is 0 (a NaN rate) or negative (every draw
+   empty, so [draw] would retry forever). *)
+let check_size n =
+  if n <= 0 then invalid_arg (Printf.sprintf "Scale: n = %d is not positive" n)
+
 (* The instance of target size [n]: a pure function of (seed, n), so a
    parallel sweep regenerates it identically in whichever domain the
    (n, scheduler) cell lands. *)
 let instance_for ~seed n =
+  check_size n;
   let rng = Gripps_rng.Splitmix.create (seed + (1_000_003 * n)) in
   let r = W.Generator.platform rng base_config in
   let total_speed = Platform.total_speed r.W.Generator.platform in
@@ -193,6 +199,14 @@ let measure_cell ~seed ~legacy_cap ~repeats n spec =
 let run ?(sizes = default_sizes) ?(legacy_cap = default_legacy_cap)
     ?(schedulers = panel_names) ?(repeats = 1) ?pool ?progress ~seed () =
   let repeats = max 1 repeats in
+  List.iter
+    (fun name ->
+      if not (List.mem name panel_names) then
+        invalid_arg
+          (Printf.sprintf "Scale.run: unknown rule %s (the panel is %s)" name
+             (String.concat ", " panel_names)))
+    schedulers;
+  List.iter check_size sizes;
   let specs = List.filter (fun s -> List.mem s.s_name schedulers) panel in
   let cells = List.concat_map (fun n -> List.map (fun s -> (n, s)) specs) sizes in
   let sweep =

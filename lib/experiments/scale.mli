@@ -69,7 +69,8 @@ val default_legacy_cap : int
 
 val instance_for : seed:int -> int -> Gripps_model.Instance.t
 (** [instance_for ~seed n]: the pinned instance of about [n] jobs every
-    scheduler at size [n] runs — a pure function of [(seed, n)]. *)
+    scheduler at size [n] runs — a pure function of [(seed, n)].
+    @raise Invalid_argument if [n <= 0]. *)
 
 val run :
   ?sizes:int list ->
@@ -81,14 +82,16 @@ val run :
   seed:int ->
   unit ->
   report
-(** [schedulers] filters {!panel_names} (unknown names are ignored);
+(** [schedulers] filters {!panel_names};
     [pool] shards cells across domains (default sequential) — entries
     come back in (size-major, panel-minor) order either way.
     [repeats] (default 1, clamped to at least 1) times the headline run
     that many times and keeps the {e minimum} wall clock — the standard
     answer to run-to-run scheduling noise on a contended box; events,
     minor-words and the legacy comparison come from the first run (they
-    are deterministic, so repetition adds nothing). *)
+    are deterministic, so repetition adds nothing).
+    @raise Invalid_argument on a name outside {!panel_names} or a size
+    [<= 0], before any cell runs. *)
 
 val failing_cells : report -> (int * string) list
 (** The (n, scheduler) cells whose legacy comparison was not identical

@@ -882,28 +882,9 @@ module Journal = struct
           events;
         Buffer.output_buffer oc w.Writer.buf)
 
-  let read_jsonl ~path =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let acc = ref [] in
-        (try
-           while true do
-             let line = input_line ic in
-             if String.trim line <> "" then
-               match of_json line with
-               | Some e -> acc := e :: !acc
-               | None -> ()
-           done
-         with End_of_file -> ());
-        List.rev !acc)
-
-  (* The strict reader refuses what the lenient one skips: a malformed
-     line is named by number, and a partial last record (no trailing
-     newline — the signature of a write cut short by a crash) is called
-     out as truncation rather than silently dropped.  Replay-grade
-     integrity checks must use this path. *)
+  (* A malformed line is named by number, and a partial last record (no
+     trailing newline — the signature of a write cut short by a crash)
+     is called out as truncation rather than silently dropped. *)
   let read_jsonl_strict ~path =
     let ic = open_in_bin path in
     let contents =

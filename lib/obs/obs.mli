@@ -255,16 +255,12 @@ module Journal : sig
   (** Write the events to [path], one {!Writer.line} each, through one
       writer whose buffer is drained every 64 KiB. *)
 
-  val read_jsonl : path:string -> event list
-  (** @raise Sys_error on unreadable files; malformed lines are
-      skipped. *)
-
   val read_jsonl_strict : path:string -> event list
-  (** Like {!read_jsonl} but integrity-checking: a malformed line raises
-      [Failure] naming the line number, and a partial last record (the
-      file does not end in a newline — the signature of a crash-torn
-      write) raises [Failure] naming the truncation, instead of being
-      silently dropped.
+  (** The events of a {!write_jsonl} file, integrity-checked: a
+      malformed line raises [Failure] naming the line number, and a
+      partial last record (the file does not end in a newline — the
+      signature of a crash-torn write) raises [Failure] naming the
+      truncation, instead of being silently dropped.
       @raise Sys_error on unreadable files. *)
 end
 

@@ -3,7 +3,10 @@ let uniform rng ~lo ~hi =
   lo +. ((hi -. lo) *. Splitmix.float rng)
 
 let exponential rng ~rate =
-  if rate <= 0.0 then invalid_arg "Dist.exponential: non-positive rate";
+  (* Written as a negation so NaN fails it too; a NaN or infinite rate
+     draws NaN or 0, and a Poisson loop over such gaps never ends. *)
+  if not (rate > 0.0 && rate < infinity) then
+    invalid_arg "Dist.exponential: rate not finite and positive";
   (* Inverse transform; 1 - u avoids log 0. *)
   -.log (1.0 -. Splitmix.float rng) /. rate
 

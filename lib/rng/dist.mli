@@ -4,8 +4,8 @@ val uniform : Splitmix.t -> lo:float -> hi:float -> float
 (** Uniform in [lo, hi).  @raise Invalid_argument if [hi < lo]. *)
 
 val exponential : Splitmix.t -> rate:float -> float
-(** Exponential with mean [1/rate].  @raise Invalid_argument if
-    [rate <= 0]. *)
+(** Exponential with mean [1/rate].  @raise Invalid_argument unless
+    [rate] is finite and positive (NaN and infinity included). *)
 
 val poisson_process : Splitmix.t -> rate:float -> horizon:float -> float list
 (** Arrival dates of a Poisson process of intensity [rate] on

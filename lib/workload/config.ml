@@ -33,10 +33,13 @@ let make ?(processors_per_site = 10) ?(horizon = 900.0)
   if processors_per_site <= 0 then
     invalid_arg "Config.make: non-positive processors_per_site";
   if databases <= 0 then invalid_arg "Config.make: non-positive databases";
-  if availability <= 0.0 || availability > 1.0 then
+  (* Written as negations so NaN fails them too. *)
+  if not (availability > 0.0 && availability <= 1.0) then
     invalid_arg "Config.make: availability outside (0, 1]";
-  if density <= 0.0 then invalid_arg "Config.make: non-positive density";
-  if horizon <= 0.0 then invalid_arg "Config.make: non-positive horizon";
+  if not (density > 0.0 && density < infinity) then
+    invalid_arg "Config.make: density not finite and positive";
+  if not (horizon > 0.0 && horizon < infinity) then
+    invalid_arg "Config.make: horizon not finite and positive";
   let lo, hi = db_size_range in
   if lo <= 0.0 || hi < lo then invalid_arg "Config.make: degenerate size range";
   if Array.length reference_speeds = 0 then

@@ -61,7 +61,8 @@ val make :
   unit ->
   t
 (** @raise Invalid_argument on non-positive counts (including [users]),
-    availability outside (0, 1], or a degenerate size range. *)
+    availability outside (0, 1], density or horizon not finite and
+    positive (NaN included), or a degenerate size range. *)
 
 val with_faults : t -> fault_axis -> t
 

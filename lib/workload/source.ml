@@ -191,7 +191,8 @@ let of_list ?(skip = 0) items =
    release date is the running sum of gaps, carried in [clock] — which is
    why [(cursor, clock)] is a complete resume point. *)
 let poisson ~seed ~rate ~sizes ~jobs ?(cursor = 0) ?(clock = 0.0) () =
-  if rate <= 0.0 then invalid_arg "Source.poisson: rate must be positive";
+  if not (rate > 0.0 && rate < infinity) then
+    invalid_arg "Source.poisson: rate must be finite and positive";
   if jobs <= 0 then invalid_arg "Source.poisson: jobs must be positive";
   if Array.length sizes = 0 then invalid_arg "Source.poisson: empty size table";
   if cursor < 0 || cursor > jobs then invalid_arg "Source.poisson: bad cursor";

@@ -101,5 +101,6 @@ val poisson :
     stream [k] of the seed.  Exactly [jobs] items.  [cursor]/[clock]
     re-enter the stream at a checkpointed position — resuming at
     [(cursor, clock)] yields bit-identical remaining items.
-    @raise Invalid_argument on a non-positive [rate]/[jobs], an empty
-    [sizes], or a [cursor] beyond [jobs]. *)
+    @raise Invalid_argument on a [rate] not finite and positive (NaN
+    included), a non-positive [jobs], an empty [sizes], or a [cursor]
+    beyond [jobs]. *)

@@ -58,6 +58,38 @@ expect 2 "unknown federate local scheduler" "$CLI" federate --scheduler BOGUS
 expect 2 "serve on a missing source file" \
   "$CLI" serve --source "$TMP/absent.jobs"
 expect 2 "resume without a checkpoint" "$CLI" serve --resume
+expect 2 "scale with a rule outside the panel" \
+  "$CLI" scale -n 100 --schedulers BOGUS
+
+# Parameters no run could finish on (a NaN or infinite rate, window or
+# density, an unbounded fault window, fewer than one job) are refused
+# up front: exit 2 with "invalid argument" on stderr.  The exit code
+# alone is not enough, because an uncaught Out_of_memory also exits 2;
+# the memory and time limits turn a regression into a failed check.
+refused() {
+  local desc="$1"; shift
+  ( ulimit -d 2000000; timeout 20 "$@" ) >/dev/null 2>"$TMP/refused.err"
+  local got=$?
+  if [ "$got" -ne 2 ] || ! grep -q 'invalid argument' "$TMP/refused.err"; then
+    echo "FAIL: $desc: expected exit 2 and 'invalid argument', got $got ($*)" >&2
+    fails=$((fails + 1))
+  else
+    echo "ok: $desc (refused)"
+  fi
+}
+refused "scale at n = 0" "$CLI" scale -n 0 --schedulers SPT
+refused "scale at a negative n" "$CLI" scale -n 100,-5
+refused "run over a NaN horizon" "$CLI" run --horizon nan
+refused "run over an infinite horizon" "$CLI" run --horizon inf
+refused "run at a NaN density" "$CLI" run --density nan
+refused "run at an infinite density" "$CLI" run --density inf
+refused "run at a NaN availability" "$CLI" run --availability nan
+refused "serve at a NaN rate" "$CLI" serve --rate nan
+refused "serve with a NaN mtbf" "$CLI" serve --mtbf nan
+refused "serve with faults over an unbounded window (rate 0)" \
+  "$CLI" serve --rate 0 --mtbf 10
+refused "serve with faults up to an infinite horizon" \
+  "$CLI" serve --horizon inf --mtbf 10
 
 # Malformed data exits 3.
 printf '0.0 10.0 0\nbogus line\n' > "$TMP/bad.jobs"

@@ -235,6 +235,23 @@ let test_scale_smoke () =
   Alcotest.(check bool) "render mentions the verdict" true
     (String.length (E.Scale.render r) > 0)
 
+(* The CI scale-smoke cell: n = 10^3 at seed 42, the whole panel.  The
+   loop and the epilogue allocate nothing per event or per job, so the
+   headline run's minor words are set-up (0.39-0.42 per event).  The cap
+   catches a per-event allocation (one leaked box costs at least 2
+   words/event) or an epilogue that boxes each completion date (5 words
+   a job, about 2 words/event). *)
+let test_scale_gates () =
+  let r = E.Scale.run ~sizes:[ 1000 ] ~seed:42 () in
+  Alcotest.(check bool) "rule engine = resort oracle" true r.E.Scale.identical;
+  List.iter
+    (fun (e : E.Scale.entry) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.3f minor words/event <= 1.0" e.E.Scale.scheduler
+           e.E.Scale.mw_per_event)
+        true (e.E.Scale.mw_per_event <= 1.0))
+    r.E.Scale.entries
+
 let test_scale_above_cap_skips_legacy () =
   let r = E.Scale.run ~sizes:[ 60 ] ~legacy_cap:10 ~schedulers:[ "SRPT" ] ~seed:9 () in
   (match r.E.Scale.entries with
@@ -246,5 +263,6 @@ let suite =
   ( fst suite,
     snd suite
     @ [ Alcotest.test_case "scale smoke" `Slow test_scale_smoke;
+        Alcotest.test_case "scale gates at n = 1000" `Quick test_scale_gates;
         Alcotest.test_case "scale above legacy cap" `Quick
           test_scale_above_cap_skips_legacy ] )

@@ -77,6 +77,21 @@ let prop_one_shard_identity =
               && fed.Fed.outcome.Frontend.migrations = 0))
         Reg.registry)
 
+(* One pinned case at full size: the federation experiment's first
+   instance under SRPT (instance k of seed s is drawn from seed
+   s + 1_000_003 k, here s = 42 and k = 0, in its default
+   configuration). *)
+let test_one_shard_identity_pinned () =
+  let module EF = Gripps_experiments.Federation in
+  let inst =
+    W.Generator.instance (Splitmix.create (42 + (1_000_003 * 0))) EF.default_config
+  in
+  let sched = Option.get (Reg.find_scheduler "SRPT") in
+  let plain = Sim.run_report_flat sched inst in
+  let fed = Fed.run ~shards:1 ~scheduler:sched inst in
+  Alcotest.(check bool) "metrics identical" true
+    (compare plain.Sim.metrics fed.Fed.metrics = 0)
+
 (* The degeneration also holds under an injected fault trace: the
    projection of a global trace onto the single shard is the trace. *)
 let test_one_shard_identity_faults () =
@@ -382,6 +397,8 @@ let test_empty_shard_ok () =
 let suite =
   ( "federation",
     [ QCheck_alcotest.to_alcotest prop_one_shard_identity;
+      Alcotest.test_case "1-shard identity, pinned experiment case" `Quick
+        (sandboxed test_one_shard_identity_pinned);
       Alcotest.test_case "1-shard identity under faults" `Quick
         (sandboxed test_one_shard_identity_faults);
       QCheck_alcotest.to_alcotest prop_conservation;

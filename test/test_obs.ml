@@ -183,7 +183,7 @@ let test_jsonl_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       J.write_jsonl ~path sample_events;
-      let back = J.read_jsonl ~path in
+      let back = J.read_jsonl_strict ~path in
       Alcotest.(check bool) "file round-trip" true (same_events sample_events back))
 
 let test_of_json_malformed () =
@@ -445,8 +445,6 @@ let test_read_jsonl_strict_errors () =
       in
       write (J.to_json (note 1) ^ "\n" ^ "garbage\n");
       expect_failure "malformed line" "line 2";
-      Alcotest.(check int) "lenient reader skips the malformed line" 1
-        (List.length (J.read_jsonl ~path));
       (* A file not ending in a newline is the signature of a crash-torn
          append: the strict reader must refuse the whole file. *)
       write (J.to_json (note 1) ^ "\n"

@@ -77,6 +77,17 @@ let test_exponential_mean () =
   let mean = !sum /. float_of_int n in
   Alcotest.(check bool) "mean near 1/2" true (abs_float (mean -. 0.5) < 0.01)
 
+(* A NaN or infinite rate draws NaN or 0, and a Poisson loop over such
+   gaps never reaches its horizon. *)
+let test_exponential_rejects_bad_rates () =
+  let rng = Splitmix.create 4 in
+  List.iter
+    (fun rate ->
+      match Dist.exponential rng ~rate with
+      | _ -> Alcotest.failf "rate %h accepted" rate
+      | exception Invalid_argument _ -> ())
+    [ nan; infinity; 0.0; -1.0 ]
+
 let test_poisson_process () =
   let rng = Splitmix.create 5 in
   let arrivals = Dist.poisson_process rng ~rate:10.0 ~horizon:100.0 in
@@ -111,5 +122,7 @@ let suite =
       Alcotest.test_case "int bounds" `Quick test_int_bounds;
       Alcotest.test_case "uniform moments" `Quick test_uniform_moments;
       Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
+      Alcotest.test_case "exponential rejects bad rates" `Quick
+        test_exponential_rejects_bad_rates;
       Alcotest.test_case "poisson process" `Quick test_poisson_process;
       Alcotest.test_case "pick and shuffle" `Quick test_pick_and_shuffle ] )

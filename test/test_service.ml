@@ -566,6 +566,40 @@ let test_bounded_memory_counters () =
   Alcotest.(check int) "completions = admissions" r.admitted
     r.metrics.Service.completed
 
+(* The same bounds at full size: the seed-42 3-cluster platform, SWRPT
+   with Drop, 4096 slots and a 1024-deep queue, 200,000 Poisson jobs at
+   0.9 x total speed / mean databank size.  That rate is an overload,
+   not 90% utilization: databank 0 carries 62% of the work but is
+   hosted only on the two slowest clusters.  So the pool and the queue
+   both fill, and reaching each bound is what gives it meaning.  The
+   daemon still drains, and its loop stays off the minor heap. *)
+let test_overload_at_scale () =
+  let c =
+    W.Config.make ~sites:3 ~databases:3 ~availability:0.6 ~density:1.0
+      ~horizon:60.0 ()
+  in
+  let real = W.Generator.platform (Splitmix.create 42) c in
+  let platform = real.W.Generator.platform in
+  let sizes = real.W.Generator.db_sizes in
+  let mean_size =
+    Array.fold_left ( +. ) 0.0 sizes /. float_of_int (Array.length sizes)
+  in
+  let rate = 0.9 *. Platform.total_speed platform /. mean_size in
+  let cfg =
+    Service.config ~platform ~rule:Service.Swrpt ~policy:Service.Drop
+      ~max_live:4096 ~queue_cap:1024 ()
+  in
+  let src = Source.poisson ~seed:42 ~rate ~sizes ~jobs:200_000 () in
+  let w0 = Gc.minor_words () in
+  let r = Service.run cfg src in
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int r.events in
+  Alcotest.(check int) "pool fills to max-live" 4096 r.peak_live;
+  Alcotest.(check int) "queue fills to queue-cap" 1024 r.peak_queue;
+  Alcotest.(check bool) "drained" true (r.outcome = Service.Drained);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words/event <= 3.0" per_event)
+    true (per_event <= 3.0)
+
 (* ---- pinned bytes ------------------------------------------------------ *)
 
 (* Two databanks, machine 2 hosting both; crash edges on every machine;
@@ -828,7 +862,8 @@ let test_journal_promotes_nothing () =
         true (per_event < 1.0))
 
 (* The checkpoint path allocates per checkpoint, not per field: the
-   bound is the one [bench/main.exe serve] gates on. *)
+   bound is the one [test_overload_at_scale] holds the daemon's loop
+   to. *)
 let test_checkpoint_allocation () =
   with_tmpdir (fun dir ->
       let cfg =
@@ -862,6 +897,8 @@ let suite =
         test_checkpoint_corruption_detected;
       Alcotest.test_case "memory bounds hold under overload" `Quick
         test_bounded_memory_counters;
+      Alcotest.test_case "overload fills pool and queue, drains" `Quick
+        test_overload_at_scale;
       Alcotest.test_case "segment and checkpoint bytes pinned" `Quick
         test_pinned_bytes;
       Alcotest.test_case "checkpoint text pinned" `Quick

@@ -11,8 +11,21 @@ let test_config_validation () =
       ignore (W.Config.make ~sites:0 ~databases:1 ~availability:0.5 ~density:1.0 ()));
   expect "Config.make: availability outside (0, 1]" (fun () ->
       ignore (W.Config.make ~sites:1 ~databases:1 ~availability:1.5 ~density:1.0 ()));
-  expect "Config.make: non-positive density" (fun () ->
+  expect "Config.make: density not finite and positive" (fun () ->
       ignore (W.Config.make ~sites:1 ~databases:1 ~availability:0.5 ~density:0.0 ()));
+  (* NaN and infinity fail the guards too: over a NaN or infinite
+     density or window the generator never reaches its horizon. *)
+  List.iter
+    (fun x ->
+      expect "Config.make: availability outside (0, 1]" (fun () ->
+          ignore (W.Config.make ~sites:1 ~databases:1 ~availability:x ~density:1.0 ()));
+      expect "Config.make: density not finite and positive" (fun () ->
+          ignore (W.Config.make ~sites:1 ~databases:1 ~availability:0.5 ~density:x ()));
+      expect "Config.make: horizon not finite and positive" (fun () ->
+          ignore
+            (W.Config.make ~horizon:x ~sites:1 ~databases:1 ~availability:0.5
+               ~density:1.0 ())))
+    [ nan; infinity ];
   expect "Config.make: degenerate size range" (fun () ->
       ignore
         (W.Config.make ~db_size_range:(5.0, 1.0) ~sites:1 ~databases:1
