@@ -57,9 +57,10 @@ let make_ticker budget stage =
         (Budget_exhausted { stage; iters = !count; elapsed = Sys.time () -. t0 })
 
 (* ------------------------------------------------------------------ *)
-(* Instrumentation.  Global counters over every solver run since the    *)
-(* last [reset_stats]; the perf harness and the §5.3 overhead study     *)
-(* read them to attribute wall time to probes vs. network work.         *)
+(* Instrumentation.  Observability counters over every solver run since *)
+(* the last [reset_stats], the rational fast-path pair ([Q.fast_hits],  *)
+(* [Q.fast_falls]) included; the perf harness and the §5.3 overhead     *)
+(* study read them to attribute wall time to probes vs. network work.   *)
 (* ------------------------------------------------------------------ *)
 
 type stats = {
@@ -72,12 +73,6 @@ type stats = {
   rat_fast_falls : int;
 }
 
-(* The counters live in the shared observability registry
-   ([Gripps_obs.Obs]); [stats]/[reset_stats] remain as the historical
-   facade over them.  The rational fast-path counters keep their storage
-   in [Gripps_numeric.Rat] (the numeric layer stays dependency-free) and
-   are exposed to the registry as polled gauges. *)
-
 module Obs = Gripps_obs.Obs
 
 let exact_probe_count = Obs.Counter.make "solver.exact_probes"
@@ -86,34 +81,20 @@ let build_count = Obs.Counter.make "solver.graph_builds"
 let warm_update_count = Obs.Counter.make "solver.warm_updates"
 let augmenting_path_count = Obs.Counter.make "solver.augmenting_paths"
 
-let () =
-  Obs.register_poll "rat.fast_hits" (fun () -> (Q.stats ()).Q.fast_hits);
-  Obs.register_poll "rat.fast_falls" (fun () -> (Q.stats ()).Q.fast_falls);
-  (* The Rat counters are domain-local; these injectors let a parallel
-     sweep fold a worker domain's counts back into the coordinator's. *)
-  Obs.register_poll_merge "rat.fast_hits" (fun d ->
-      Q.add_stats { Q.fast_hits = d; fast_falls = 0 });
-  Obs.register_poll_merge "rat.fast_falls" (fun d ->
-      Q.add_stats { Q.fast_hits = 0; fast_falls = d });
-  Obs.register_reset Q.reset_stats
+let counters =
+  [ exact_probe_count; float_probe_count; build_count; warm_update_count;
+    augmenting_path_count; Q.fast_hits; Q.fast_falls ]
 
-let reset_stats () =
-  Obs.Counter.reset exact_probe_count;
-  Obs.Counter.reset float_probe_count;
-  Obs.Counter.reset build_count;
-  Obs.Counter.reset warm_update_count;
-  Obs.Counter.reset augmenting_path_count;
-  Q.reset_stats ()
+let reset_stats () = List.iter Obs.Counter.reset counters
 
 let stats () =
-  let r = Q.stats () in
   { exact_probes = Obs.Counter.value exact_probe_count;
     float_probes = Obs.Counter.value float_probe_count;
     graph_builds = Obs.Counter.value build_count;
     warm_updates = Obs.Counter.value warm_update_count;
     augmenting_paths = Obs.Counter.value augmenting_path_count;
-    rat_fast_hits = r.Q.fast_hits;
-    rat_fast_falls = r.Q.fast_falls }
+    rat_fast_hits = Obs.Counter.value Q.fast_hits;
+    rat_fast_falls = Obs.Counter.value Q.fast_falls }
 
 (* Debug/bench knob: with [warm_enabled := false] every exact probe
    rebuilds the flow network from scratch (the pre-warm-start pipeline);

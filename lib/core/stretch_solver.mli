@@ -116,10 +116,14 @@ val solve_float : ?budget:budget -> ?floor:float -> ?refine:bool -> problem -> a
 
 (** {1 Instrumentation}
 
-    Global counters over every solver run (both pipelines) since the last
-    {!reset_stats}.  The perf harness ([gripps_cli perf]) and the §5.3
-    overhead study read them to attribute wall time to feasibility probes
-    vs. flow-network work. *)
+    Counters over every solver run (both pipelines) since the last
+    {!reset_stats}.  They are {!Gripps_obs.Obs.Counter}s, named
+    ["solver.*"] and, for the rational pair, ["rat.fast_hits"] and
+    ["rat.fast_falls"] ({!Gripps_numeric.Rat.fast_hits}), so they are
+    domain-local and a parallel sweep merges them with the rest.  The
+    perf harness ([gripps_cli perf]) and the §5.3 overhead study read
+    them to attribute wall time to feasibility probes vs. flow-network
+    work. *)
 
 type stats = {
   exact_probes : int;      (** exact feasibility probes (Newton evaluations) *)

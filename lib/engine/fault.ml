@@ -37,6 +37,14 @@ let of_platform platform =
            m.Machine.downtime)
   |> normalize
 
+(* The most failures a trace may expect, [machines * until / mtbf].  A
+   failure holds 144 bytes once drawn (two edges of 9 words), and the
+   draw and the sort grow the heap by about 390 bytes a failure
+   (measured at 9 x 10^5 failures), so the cap bounds a trace at about
+   4 GB.  The traces the tests and benchmarks draw expect fewer than
+   1,000. *)
+let max_expected_failures = 1e7
+
 (* Per-machine alternating renewal process: exponential up-times of mean
    [mtbf], exponential repair times of mean [mttr].  Failures are only
    drawn before [until], but every failure gets its repair even when the
@@ -50,6 +58,8 @@ let poisson rng ~mtbf ~mttr ~machines ~until =
   if not (mttr > 0.0) then invalid_arg "Fault.poisson: non-positive mttr";
   if not (until < infinity) then invalid_arg "Fault.poisson: until not finite";
   if machines <= 0 then invalid_arg "Fault.poisson: no machines";
+  if not (float_of_int machines *. until /. mtbf <= max_expected_failures) then
+    invalid_arg "Fault.poisson: too many expected failures";
   let events = ref [] in
   for m = 0 to machines - 1 do
     let t = ref (Gripps_rng.Dist.exponential rng ~rate:(1.0 /. mtbf)) in

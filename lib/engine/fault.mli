@@ -54,6 +54,8 @@ val poisson :
     failure is paired with its repair even when the repair lands past
     [until], so no machine is left down forever.
     @raise Invalid_argument on [mtbf] or [mttr] not positive (NaN
-    included), [machines <= 0], or [until] infinite or NaN. *)
+    included), [machines <= 0], [until] infinite or NaN, or more than
+    10{^7} expected failures ([machines * until / mtbf]), checked before
+    any draw. *)
 
 val pp : Format.formatter -> trace -> unit

@@ -59,7 +59,7 @@ type scaling_sample = {
   bender98_s : float;
 }
 
-let scaling ?(seed = 20060404) ?(horizons = [ 15.0; 30.0; 60.0; 120.0 ]) () =
+let scaling ?(seed = 20060404) () =
   List.map
     (fun horizon ->
       let config =
@@ -76,4 +76,4 @@ let scaling ?(seed = 20060404) ?(horizons = [ 15.0; 30.0; 60.0; 120.0 ]) () =
         offline_s = time Gripps_core.Offline.scheduler;
         online_s = time Gripps_core.Online_lp.online;
         bender98_s = time Gripps_core.Bender.bender98 })
-    horizons
+    [ 15.0; 30.0; 60.0; 120.0 ]

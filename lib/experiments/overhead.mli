@@ -35,9 +35,9 @@ type scaling_sample = {
   bender98_s : float;
 }
 
-val scaling :
-  ?seed:int -> ?horizons:float list -> unit -> scaling_sample list
+val scaling : ?seed:int -> unit -> scaling_sample list
 (** Wall time of the three expensive schedulers as the workload grows
-    (3-cluster platform, increasing arrival windows) — the quantitative
-    version of the paper's remark that Bender98 becomes intractable with
-    the job count (it performs one full hindsight solve per arrival). *)
+    (3-cluster platform, arrival windows of 15, 30, 60 and 120 s) — the
+    quantitative version of the paper's remark that Bender98 becomes
+    intractable with the job count (it performs one full hindsight solve
+    per arrival). *)

@@ -28,7 +28,12 @@ let with_spans f =
   let l = Obs.level () in
   Obs.with_level (if l = Obs.Counters then Obs.Spans else l) f
 
-let run_instance ?(bender98_max_sites = 3) ?(bender98_max_jobs = 60)
+(* DESIGN §5b's Bender98 gate: like the paper, run it only on small
+   simulations, since it solves a hindsight optimum at every arrival. *)
+let bender98_max_sites = 3
+let bender98_max_jobs = 60
+
+let run_instance
     ?(schedulers = Sched_registry.schedulers Sched_registry.paper_panel)
     ?(objectives = []) ?(faults = []) ?(loss = Fault.Crash) ?(guard = 1e9)
     config inst =
@@ -123,8 +128,7 @@ let ratios_for obj r =
     let div a b = if b > 0.0 then a /. b else 1.0 in
     List.map (fun (s, v) -> (s, div v best)) vals
 
-let instance_job ?bender98_max_sites ?bender98_max_jobs ?schedulers ?objectives
-    ?guard ~seed config k =
+let instance_job ?schedulers ?objectives ?guard ~seed config k =
   (* One independent stream per instance, derived from the index alone:
      results do not shift when the instance count changes, and shard [k]
      of a parallel sweep replays identically wherever it runs. *)
@@ -140,17 +144,12 @@ let instance_job ?bender98_max_sites ?bender98_max_jobs ?schedulers ?objectives
     | Some f -> f.W.Config.loss
     | None -> Fault.Crash
   in
-  run_instance ?bender98_max_sites ?bender98_max_jobs ?schedulers ?objectives
-    ?guard ~faults ~loss config inst
+  run_instance ?schedulers ?objectives ?guard ~faults ~loss config inst
 
-let config_sweep ?bender98_max_sites ?bender98_max_jobs ?schedulers ?objectives
-    ?guard ~seed ~instances config =
+let config_sweep ?schedulers ?objectives ?guard ~seed ~instances config =
   Gripps_parallel.Sweep.make ~length:instances
-    (instance_job ?bender98_max_sites ?bender98_max_jobs ?schedulers ?objectives
-       ?guard ~seed config)
+    (instance_job ?schedulers ?objectives ?guard ~seed config)
 
-let run_config ?bender98_max_sites ?bender98_max_jobs ?schedulers ?objectives
-    ?guard ?pool ~seed ~instances config =
+let run_config ?schedulers ?objectives ?guard ?pool ~seed ~instances config =
   Gripps_parallel.Sweep.run ?pool
-    (config_sweep ?bender98_max_sites ?bender98_max_jobs ?schedulers ?objectives
-       ?guard ~seed ~instances config)
+    (config_sweep ?schedulers ?objectives ?guard ~seed ~instances config)

@@ -3,11 +3,10 @@
     The portfolio is the eleven heuristics of Table 1, now defined once
     in {!Sched_registry} (the default panel is
     {!Sched_registry.paper_panel}).  [Bender98] is only run on platforms
-    of at most [bender98_max_sites] clusters (default 3) and on workloads
-    of at most [bender98_max_jobs] jobs (default 60), mirroring the
-    paper, whose larger simulations were "practically infeasible, due to
-    the algorithm's prohibitive overhead costs" (it solves a full
-    hindsight optimum at every arrival).
+    of at most 3 clusters and on workloads of at most 60 jobs, the gate
+    of DESIGN §5b, mirroring the paper, whose larger simulations were
+    "practically infeasible, due to the algorithm's prohibitive overhead
+    costs" (it solves a full hindsight optimum at every arrival).
 
     Beyond the classic max-/sum-stretch pair, a run can evaluate any
     list of {!Gripps_model.Metrics.objective}s ([?objectives]); the extra
@@ -45,8 +44,6 @@ type instance_result = {
 }
 
 val run_instance :
-  ?bender98_max_sites:int ->
-  ?bender98_max_jobs:int ->
   ?schedulers:Sim.flat_scheduler list ->
   ?objectives:Metrics.objective list ->
   ?faults:Fault.trace ->
@@ -83,8 +80,6 @@ val ratios_for : Metrics.objective -> instance_result -> (string * float) list
     instances normalize to 1, as in {!ratios}). *)
 
 val instance_job :
-  ?bender98_max_sites:int ->
-  ?bender98_max_jobs:int ->
   ?schedulers:Sim.flat_scheduler list ->
   ?objectives:Metrics.objective list ->
   ?guard:float ->
@@ -99,8 +94,6 @@ val instance_job :
     shards on. *)
 
 val config_sweep :
-  ?bender98_max_sites:int ->
-  ?bender98_max_jobs:int ->
   ?schedulers:Sim.flat_scheduler list ->
   ?objectives:Metrics.objective list ->
   ?guard:float ->
@@ -111,8 +104,6 @@ val config_sweep :
 (** The [instances] jobs of a configuration as a shardable sweep. *)
 
 val run_config :
-  ?bender98_max_sites:int ->
-  ?bender98_max_jobs:int ->
   ?schedulers:Sim.flat_scheduler list ->
   ?objectives:Metrics.objective list ->
   ?guard:float ->

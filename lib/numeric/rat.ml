@@ -9,9 +9,8 @@
 
    The fast paths use overflow-checked native arithmetic: any operation
    whose intermediate product or sum could wrap raises [Fall] and is
-   re-run on Bigints.  A pair of domain-local counters records how often
-   each route is taken; the solver instrumentation reads them via
-   [stats]. *)
+   re-run on Bigints.  Two observability counters record how often each
+   route is taken. *)
 
 type t =
   | S of int * int
@@ -19,30 +18,12 @@ type t =
 
 (* ---- fast/slow accounting --------------------------------------------- *)
 
-type ops_stats = { fast_hits : int; fast_falls : int }
+module Counter = Gripps_obs.Obs.Counter
 
-(* Domain-local accumulators: rational arithmetic runs inside whichever
-   domain hosts the solver, so shared [int ref]s would lose increments
-   under parallel sweeps.  Each domain counts its own operations;
-   [add_stats] lets a coordinator fold a finished worker's counts into
-   its own. *)
-type acc = { mutable h : int; mutable f : int }
-
-let acc_key = Domain.DLS.new_key (fun () -> { h = 0; f = 0 })
-let[@inline] acc () = Domain.DLS.get acc_key
-let[@inline] incr_hits () = let a = acc () in a.h <- a.h + 1
-let[@inline] incr_falls () = let a = acc () in a.f <- a.f + 1
-let stats () = let a = acc () in { fast_hits = a.h; fast_falls = a.f }
-
-let reset_stats () =
-  let a = acc () in
-  a.h <- 0;
-  a.f <- 0
-
-let add_stats s =
-  let a = acc () in
-  a.h <- a.h + s.fast_hits;
-  a.f <- a.f + s.fast_falls
+let fast_hits = Counter.make "rat.fast_hits"
+let fast_falls = Counter.make "rat.fast_falls"
+let[@inline] incr_hits () = Counter.incr fast_hits
+let[@inline] incr_falls () = Counter.incr fast_falls
 
 (* ---- overflow-checked native arithmetic -------------------------------- *)
 

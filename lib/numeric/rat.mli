@@ -50,21 +50,15 @@ val of_string : string -> t
 
     Rationals whose components fit a native [int] are stored unboxed and
     served by overflow-checked machine arithmetic; only genuine overflows
-    fall back to the {!Bigint} representation.  Two domain-local counters
-    track how often each route runs. *)
+    fall back to the {!Bigint} representation.  Two observability
+    counters track how often each route runs.  Like every
+    {!Gripps_obs.Obs.Counter} they are domain-local, so parallel solver
+    runs never lose increments, and a parallel sweep's
+    {!Gripps_obs.Obs.Export} merges them with the rest. *)
 
-type ops_stats = { fast_hits : int; fast_falls : int }
+val fast_hits : Gripps_obs.Obs.Counter.t
+(** ["rat.fast_hits"]: arithmetic and comparison operations served
+    entirely by native ints. *)
 
-val stats : unit -> ops_stats
-(** Cumulative counts since the last {!reset_stats}: [fast_hits] is the
-    number of arithmetic/comparison operations served entirely by native
-    ints, [fast_falls] the number that needed Bigint arithmetic.  The
-    counters are domain-local: each domain observes only its own
-    operations, so parallel solver runs never lose increments. *)
-
-val reset_stats : unit -> unit
-(** Zero the calling domain's counters. *)
-
-val add_stats : ops_stats -> unit
-(** Fold externally-accumulated counts (e.g. a finished worker domain's
-    {!stats}) into the calling domain's counters. *)
+val fast_falls : Gripps_obs.Obs.Counter.t
+(** ["rat.fast_falls"]: operations that needed Bigint arithmetic. *)

@@ -8,14 +8,13 @@
    cells, span aggregates, journal buffer, streaming sink) is
    domain-local: each domain accumulates into its own copy, reached
    through one [Domain.DLS] slot, so hot-path increments never contend
-   and never lose updates.  Only the name registries (counter name → id,
-   polls, merge injectors, reset hooks) are process-global, guarded by a
-   mutex; they are written during module initialization and rarely
-   after.  A worker domain's accumulated state is folded back into its
-   parent with {!Export} — deltas are captured around a unit of work and
-   merged in whatever canonical order the caller fixes, which is how the
-   parallel sweep engine keeps merged journals bit-identical to a
-   sequential run. *)
+   and never lose updates.  Only the counter name registry (name → id)
+   is process-global, guarded by a mutex; it is written during module
+   initialization and rarely after.  A worker domain's accumulated state
+   is folded back into its parent with {!Export} — deltas are captured
+   around a unit of work and merged in whatever canonical order the
+   caller fixes, which is how the parallel sweep engine keeps merged
+   journals bit-identical to a sequential run. *)
 
 type level = Counters | Spans | Events
 
@@ -103,11 +102,11 @@ let events_on () = level_rank (st ()).lvl >= 2
 
 let set_clock c = (st ()).clock <- c
 
-(* ---- global registries ------------------------------------------------- *)
+(* ---- global registry --------------------------------------------------- *)
 
 (* Registrations happen at module-initialization time in practice, but
    tests (and worker domains warming up lazily) may race them, so every
-   access to the shared tables takes the lock.  None of these paths is
+   access to the shared table takes the lock.  None of these paths is
    hot: the hot path is [Counter.incr], which touches only domain-local
    cells. *)
 let reg_mutex = Mutex.create ()
@@ -120,18 +119,9 @@ let reg_ids : (string, int) Hashtbl.t = Hashtbl.create 32
 let reg_names : string array ref = ref (Array.make 32 "")
 let reg_count = ref 0
 
-let polls : (string, unit -> int) Hashtbl.t = Hashtbl.create 8
-let poll_merges : (string, int -> unit) Hashtbl.t = Hashtbl.create 8
-let reset_hooks : (unit -> unit) list ref = ref []
-
-let register_poll name f = locked (fun () -> Hashtbl.replace polls name f)
-
-let register_poll_merge name f =
-  locked (fun () -> Hashtbl.replace poll_merges name f)
-
-let register_reset f = locked (fun () -> reset_hooks := f :: !reset_hooks)
-
 (* ---- counters ---------------------------------------------------------- *)
+
+let cell s id = if id < Array.length s.cells then s.cells.(id) else 0
 
 module Counter = struct
   type t = { name : string; id : int }
@@ -170,9 +160,7 @@ module Counter = struct
     let cells = cells_for s c.id in
     cells.(c.id) <- cells.(c.id) + k
 
-  let value c =
-    let s = st () in
-    if c.id < Array.length s.cells then s.cells.(c.id) else 0
+  let value c = cell (st ()) c.id
 
   let reset c =
     let s = st () in
@@ -186,32 +174,17 @@ let registered () =
   locked (fun () ->
       Hashtbl.fold (fun name id acc -> (name, id) :: acc) reg_ids [])
 
-let poll_list () =
-  locked (fun () -> Hashtbl.fold (fun name f acc -> (name, f) :: acc) polls [])
-
 let counters () =
   let s = st () in
-  let acc =
-    List.map
-      (fun (name, id) ->
-        (name, if id < Array.length s.cells then s.cells.(id) else 0))
-      (registered ())
-  in
-  let acc = List.fold_left (fun acc (name, f) -> (name, f ()) :: acc) acc (poll_list ()) in
-  List.sort (fun (a, _) (b, _) -> String.compare a b) acc
+  List.map (fun (name, id) -> (name, cell s id)) (registered ())
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let counter_value name =
-  match locked (fun () -> Hashtbl.find_opt reg_ids name) with
-  | Some id ->
-    let s = st () in
-    Some (if id < Array.length s.cells then s.cells.(id) else 0)
-  | None ->
-    Option.map (fun f -> f ()) (locked (fun () -> Hashtbl.find_opt polls name))
+  Option.map (cell (st ())) (locked (fun () -> Hashtbl.find_opt reg_ids name))
 
 let reset_counters () =
   let s = st () in
-  Array.fill s.cells 0 (Array.length s.cells) 0;
-  List.iter (fun f -> f ()) (locked (fun () -> !reset_hooks))
+  Array.fill s.cells 0 (Array.length s.cells) 0
 
 (* ---- journal store ----------------------------------------------------- *)
 
@@ -623,248 +596,155 @@ module Journal = struct
       Buffer.add_char w.buf '\n'
   end
 
-  let kind_of_name = function
-    | "arrival" -> Some Arrival
-    | "completion" -> Some Completion
-    | "boundary" -> Some Boundary
-    | "failure" -> Some Failure
-    | "recovery" -> Some Recovery
-    | _ -> None
-
   let to_json e =
     let w = Writer.create () in
     Writer.record w e;
     Buffer.contents w.Writer.buf
 
-  (* -- Minimal JSON reader, sufficient for lines [to_json] emits. -- *)
+  (* -- Reading: a cursor walks a line in the order [Writer.record]
+     writes it, the type tag, then each key and value, with the writer's
+     literals and separators.  A number or string is taken only when the
+     writer prints the value read as exactly the bytes it was read from,
+     so the writer's sentinels and escapes are the only ones accepted,
+     and [of_json s = Some e] exactly when [s = to_json e]. -- *)
 
-  type json =
-    | Jnull
-    | Jbool of bool
-    | Jnum of float * string            (* the value and its text *)
-    | Jstr of string
-    | Jlist of json list
-    | Jobj of (string * json) list
-
-  exception Parse_error
-
-  let parse_json (s : string) : json =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then s.[!pos] else raise Parse_error in
-    let advance () = incr pos in
-    let skip_ws () =
-      while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-        advance ()
-      done
+  let of_json s =
+    let exception Reject in
+    let n = String.length s and p = ref 0 and w = Writer.create () in
+    let peek () = if !p < n then String.unsafe_get s !p else raise_notrace Reject in
+    let at l = !p + String.length l <= n && String.sub s !p (String.length l) = l in
+    let lit l = if at l then p := !p + String.length l else raise_notrace Reject in
+    (* [v] was read from the bytes since [p0]; the writer must print it
+       as exactly those bytes. *)
+    let exact p0 emit v =
+      let b = Writer.buffer w in
+      Buffer.clear b;
+      emit w v;
+      if Buffer.contents b = String.sub s p0 (!p - p0) then v else raise_notrace Reject
     in
-    let expect c = if peek () <> c then raise Parse_error else advance () in
-    let literal lit v =
-      String.iter (fun c -> expect c) lit;
-      v
+    let number parse emit =
+      let p0 = !p in
+      while !p < n && String.contains "0123456789+-.e" s.[!p] do incr p done;
+      match parse (String.sub s p0 (!p - p0)) with
+      | Some v -> exact p0 emit v
+      | None -> raise_notrace Reject
     in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          (match peek () with
-           | '"' -> Buffer.add_char buf '"'; advance ()
-           | '\\' -> Buffer.add_char buf '\\'; advance ()
-           | '/' -> Buffer.add_char buf '/'; advance ()
-           | 'n' -> Buffer.add_char buf '\n'; advance ()
-           | 'r' -> Buffer.add_char buf '\r'; advance ()
-           | 't' -> Buffer.add_char buf '\t'; advance ()
-           | 'b' -> Buffer.add_char buf '\b'; advance ()
-           | 'f' -> Buffer.add_char buf '\012'; advance ()
-           | 'u' ->
-             advance ();
-             if !pos + 4 > n then raise Parse_error;
-             let hex = String.sub s !pos 4 in
-             pos := !pos + 4;
-             let code =
-               try int_of_string ("0x" ^ hex) with Failure _ -> raise Parse_error
-             in
-             (* Only ASCII escapes are ever emitted. *)
-             if code < 0x80 then Buffer.add_char buf (Char.chr code)
-             else raise Parse_error
-           | _ -> raise Parse_error);
-          go ()
-        | c -> Buffer.add_char buf c; advance (); go ()
-      in
-      go ();
-      Buffer.contents buf
-    in
-    let parse_number () =
-      let start = !pos in
-      while
-        !pos < n
-        && (match s.[!pos] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false)
-      do
-        advance ()
+    (* Ints from their text, never through a float: a value past 2^53
+       comes back exactly, and a fraction, an exponent, [null] or a
+       value outside the int range is refused. *)
+    let int () = number int_of_string_opt Writer.int in
+    let null () = at "null" && (p := !p + 4; true) in
+    let float () = if null () then Float.nan else number float_of_string_opt Writer.float in
+    let bool () = if at "true" then (lit "true"; true) else (lit "false"; false) in
+    let string () =
+      let p0 = !p in
+      lit "\"";
+      let b = Buffer.create 16 in
+      while peek () <> '"' do
+        if peek () = '\\' then begin
+          incr p;
+          match peek () with
+          | ('"' | '\\') as ch -> Buffer.add_char b ch
+          | 'n' -> Buffer.add_char b '\n'
+          | 'r' -> Buffer.add_char b '\r'
+          | 't' -> Buffer.add_char b '\t'
+          | 'u' when !p + 4 < n ->
+            (match int_of_string_opt ("0x" ^ String.sub s (!p + 1) 4) with
+             | Some k when k >= 0 && k < 0x20 ->
+               Buffer.add_char b (Char.chr k);
+               p := !p + 4
+             | _ -> raise_notrace Reject)
+          | _ -> raise_notrace Reject
+        end
+        else Buffer.add_char b (peek ());
+        incr p
       done;
-      if !pos = start then raise Parse_error;
-      let text = String.sub s start (!pos - start) in
-      match float_of_string_opt text with
-      | Some f -> Jnum (f, text)
-      | None -> raise Parse_error
+      incr p;
+      exact p0 Writer.string (Buffer.contents b)
     in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | 'n' -> literal "null" Jnull
-      | 't' -> literal "true" (Jbool true)
-      | 'f' -> literal "false" (Jbool false)
-      | '"' -> Jstr (parse_string ())
-      | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then begin advance (); Jlist [] end
-        else begin
-          let items = ref [ parse_value () ] in
-          skip_ws ();
-          while peek () = ',' do
-            advance ();
-            items := parse_value () :: !items;
-            skip_ws ()
-          done;
-          expect ']';
-          Jlist (List.rev !items)
-        end
-      | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then begin advance (); Jobj [] end
-        else begin
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let fields = ref [ field () ] in
-          skip_ws ();
-          while peek () = ',' do
-            advance ();
-            fields := field () :: !fields;
-            skip_ws ()
-          done;
-          expect '}';
-          Jobj (List.rev !fields)
-        end
-      | _ -> parse_number ()
+    (* [[item,item,...]], possibly empty. *)
+    let list item =
+      lit "[";
+      if at "]" then (lit "]"; [])
+      else begin
+        let rec more acc =
+          let acc = item () :: acc in
+          if at "," then (lit ","; more acc) else (lit "]"; List.rev acc)
+        in
+        more []
+      end
     in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then raise Parse_error;
-    v
-
-  let jfield k = function Jobj fs -> List.assoc_opt k fs | _ -> None
-
-  let jnum = function
-    | Some (Jnum (f, _)) -> f
-    | Some Jnull -> Float.nan
-    | _ -> raise Parse_error
-
-  (* Ints are read from their text, not through a float: a value past
-     2^53 comes back exactly, and a fraction, an exponent or [null] is
-     refused. *)
-  let int_of_text t =
-    match int_of_string_opt t with Some i -> i | None -> raise Parse_error
-
-  let jint = function
-    | Some (Jnum (_, t)) -> int_of_text t
-    | _ -> raise Parse_error
-
-  let jstr = function Some (Jstr s) -> s | _ -> raise Parse_error
-  let jbool = function Some (Jbool b) -> b | _ -> raise Parse_error
-
-  let jalloc v : alloc =
-    match v with
-    | Some (Jlist machines) ->
-      List.map
-        (function
-          | Jlist [ Jnum (_, m); Jlist shares ] ->
-            ( int_of_text m,
-              List.map
-                (function
-                  | Jlist [ Jnum (_, j); Jnum (share, _) ] ->
-                    (int_of_text j, share)
-                  | _ -> raise Parse_error)
-                shares )
-          | _ -> raise Parse_error)
-        machines
-    | _ -> raise Parse_error
-
-  let of_json line =
-    match parse_json line with
-    | exception Parse_error -> None
-    | j ->
-      (try
-         match jfield "type" j with
-         | Some (Jstr "run_start") ->
-           Some
-             (Run_start
-                { scheduler = jstr (jfield "scheduler" j);
-                  jobs = jint (jfield "jobs" j);
-                  machines = jint (jfield "machines" j) })
-         | Some (Jstr "event") ->
-           (match kind_of_name (jstr (jfield "kind" j)) with
-            | None -> None
-            | Some kind ->
-              Some
-                (Sim_event
-                   { time = jnum (jfield "time" j);
-                     kind;
-                     subject = jint (jfield "subject" j) }))
-         | Some (Jstr "replan") ->
-           Some
-             (Replan
-                { time = jnum (jfield "time" j);
-                  scheduler = jstr (jfield "scheduler" j);
-                  allocation = jalloc (jfield "alloc" j);
-                  horizon =
-                    (match jfield "horizon" j with
-                     | Some Jnull | None -> None
-                     | Some (Jnum (h, _)) -> Some h
-                     | Some _ -> raise Parse_error) })
-         | Some (Jstr "segment") ->
-           Some
-             (Segment
-                { start_time = jnum (jfield "start" j);
-                  end_time = jnum (jfield "end" j);
-                  shares = jalloc (jfield "shares" j) })
-         | Some (Jstr "probe") ->
-           Some
-             (Probe
-                { pipeline = jstr (jfield "pipeline" j);
-                  stretch = jnum (jfield "stretch" j);
-                  feasible = jbool (jfield "feasible" j) })
-         | Some (Jstr "span") ->
-           Some
-             (Span_closed
-                { name = jstr (jfield "name" j);
-                  depth = jint (jfield "depth" j);
-                  start_s = jnum (jfield "start" j);
-                  dur_s = jnum (jfield "dur" j) })
-         | Some (Jstr "note") ->
-           Some
-             (Note
-                { key = jstr (jfield "key" j); value = jstr (jfield "value" j) })
-         | Some (Jstr "run_end") ->
-           Some
-             (Run_end
-                { time = jnum (jfield "time" j);
-                  completed = jint (jfield "completed" j) })
-         | _ -> None
-       with Parse_error | Not_found -> None)
+    let pair first second () =
+      lit "[";
+      let a = first () in
+      lit ",";
+      let b = second () in
+      lit "]";
+      (a, b)
+    in
+    let alloc () = list (pair int (fun () -> list (pair int float))) in
+    let kind () =
+      let name = string () in
+      match
+        List.find_opt
+          (fun k -> Writer.kind_name k = name)
+          [ Arrival; Completion; Boundary; Failure; Recovery ]
+      with
+      | Some k -> k
+      | None -> raise_notrace Reject
+    in
+    let field key read =
+      lit (",\"" ^ key ^ "\":");
+      read ()
+    in
+    let event () =
+      lit "{\"type\":";
+      match string () with
+      | "run_start" ->
+        let scheduler = field "scheduler" string in
+        let jobs = field "jobs" int in
+        let machines = field "machines" int in
+        Run_start { scheduler; jobs; machines }
+      | "event" ->
+        let kind = field "kind" kind in
+        let time = field "time" float in
+        let subject = field "subject" int in
+        Sim_event { time; kind; subject }
+      | "replan" ->
+        let time = field "time" float in
+        let scheduler = field "scheduler" string in
+        let allocation = field "alloc" alloc in
+        let horizon = field "horizon" (fun () -> if null () then None else Some (float ())) in
+        Replan { time; scheduler; allocation; horizon }
+      | "segment" ->
+        let start_time = field "start" float in
+        let end_time = field "end" float in
+        let shares = field "shares" alloc in
+        Segment { start_time; end_time; shares }
+      | "probe" ->
+        let pipeline = field "pipeline" string in
+        let stretch = field "stretch" float in
+        let feasible = field "feasible" bool in
+        Probe { pipeline; stretch; feasible }
+      | "span" ->
+        let name = field "name" string in
+        let depth = field "depth" int in
+        let start_s = field "start" float in
+        let dur_s = field "dur" float in
+        Span_closed { name; depth; start_s; dur_s }
+      | "note" ->
+        let key = field "key" string in
+        let value = field "value" string in
+        Note { key; value }
+      | "run_end" ->
+        let time = field "time" float in
+        let completed = field "completed" int in
+        Run_end { time; completed }
+      | _ -> raise_notrace Reject
+    in
+    match event () with
+    | e when at "}" && !p + 1 = n -> Some e
+    | _ | (exception Reject) -> None
 
   let write_jsonl ~path events =
     let oc = open_out path in
@@ -886,36 +766,30 @@ module Journal = struct
      trailing newline — the signature of a write cut short by a crash)
      is called out as truncation rather than silently dropped. *)
   let read_jsonl_strict ~path =
-    let ic = open_in_bin path in
-    let contents =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
+    let contents = Fsio.read_file path in
     let n = String.length contents in
-    let complete = n = 0 || contents.[n - 1] = '\n' in
-    let body = if complete then String.sub contents 0 (max 0 (n - 1)) else contents in
-    if body = "" then []
+    if n = 0 then []
     else begin
+      let complete = contents.[n - 1] = '\n' in
+      let body = if complete then String.sub contents 0 (n - 1) else contents in
       let lines = String.split_on_char '\n' body in
       let total = List.length lines in
       let acc = ref [] in
       List.iteri
         (fun i line ->
-          if String.trim line <> "" then
-            match of_json line with
-            | Some e -> acc := e :: !acc
-            | None ->
-              if i = total - 1 && not complete then
-                failwith
-                  (Printf.sprintf
-                     "%s: truncated journal: partial record on last line %d \
-                      (no trailing newline)"
-                     path (i + 1))
-              else
-                failwith
-                  (Printf.sprintf "%s: malformed journal record at line %d"
-                     path (i + 1)))
+          match of_json line with
+          | Some e -> acc := e :: !acc
+          | None ->
+            if i = total - 1 && not complete then
+              failwith
+                (Printf.sprintf
+                   "%s: truncated journal: partial record on last line %d \
+                    (no trailing newline)"
+                   path (i + 1))
+            else
+              failwith
+                (Printf.sprintf "%s: malformed journal record at line %d" path
+                   (i + 1)))
         lines;
       if not complete then
         (* The last line parsed even without its newline: the file was cut
@@ -934,20 +808,15 @@ end
 module Export = struct
   type mark = {
     m_cells : int array;                     (* counter snapshot (copy) *)
-    m_polls : (string * int) list;           (* polled gauges at start *)
     m_spans : (string * int * float) list;   (* span aggregates at start *)
     m_jpos : int;
   }
 
   type t = {
     e_counters : (string * int) list;        (* per-name deltas, sorted *)
-    e_polls : (string * int) list;
     e_spans : (string * int * float) list;
     e_journal : Journal_t.event array;
   }
-
-  let poll_values () =
-    List.sort compare (List.map (fun (name, f) -> (name, f ())) (poll_list ()))
 
   let span_values () =
     List.sort compare
@@ -958,7 +827,6 @@ module Export = struct
   let start () =
     let s = st () in
     { m_cells = Array.copy s.cells;
-      m_polls = poll_values ();
       m_spans = span_values ();
       m_jpos = s.jlen }
 
@@ -967,22 +835,13 @@ module Export = struct
     let deltas =
       List.filter_map
         (fun (name, id) ->
-          let now = if id < Array.length s.cells then s.cells.(id) else 0 in
+          let now = cell s id in
           let before =
             if id < Array.length mark.m_cells then mark.m_cells.(id) else 0
           in
           if now = before then None else Some (name, now - before))
         (registered ())
       |> List.sort compare
-    in
-    let delta_polls =
-      List.filter_map
-        (fun (name, v) ->
-          let before =
-            Option.value ~default:0 (List.assoc_opt name mark.m_polls)
-          in
-          if v = before then None else Some (name, v - before))
-        (poll_values ())
     in
     let delta_spans =
       List.filter_map
@@ -999,7 +858,6 @@ module Export = struct
        clear exports the retained suffix. *)
     let jpos = min (max mark.m_jpos 0) s.jlen in
     { e_counters = deltas;
-      e_polls = delta_polls;
       e_spans = delta_spans;
       e_journal = Array.sub s.jbuf jpos (s.jlen - jpos) }
 
@@ -1010,12 +868,6 @@ module Export = struct
         let c = Counter.make name in
         Counter.add c d)
       e.e_counters;
-    List.iter
-      (fun (name, d) ->
-        match locked (fun () -> Hashtbl.find_opt poll_merges name) with
-        | Some inject -> inject d
-        | None -> ())
-      e.e_polls;
     List.iter
       (fun (name, dc, dt) ->
         let a = Span.agg_of s name in

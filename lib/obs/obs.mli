@@ -22,10 +22,10 @@
     each domain accumulates into its own copy, so concurrent solver runs
     in different domains never contend and never lose increments.  A
     freshly spawned domain inherits its parent's level and clock but
-    starts with empty accumulators.  Only the name registries
-    ({!Counter.make}, {!register_poll}, {!register_reset}) are shared
-    (and mutex-guarded), so a counter handle created in one domain
-    addresses that same counter's domain-local cell in every other.  Use
+    starts with empty accumulators.  Only the counter name registry
+    ({!Counter.make}) is shared (and mutex-guarded), so a counter handle
+    created in one domain addresses that same counter's domain-local
+    cell in every other.  Use
     {!Export} to capture the deltas a unit of work produced in one
     domain and fold them into another: merging worker deltas in a fixed
     canonical order makes a parallel run's counters, span aggregates and
@@ -70,29 +70,14 @@ module Counter : sig
   val name : t -> string
 end
 
-val register_poll : string -> (unit -> int) -> unit
-(** Expose an externally-owned counter (e.g. the {!Gripps_numeric.Rat}
-    fast-path counters) in the registry snapshot without moving its
-    storage.  Re-registering a name replaces the callback. *)
-
-val register_reset : (unit -> unit) -> unit
-(** Hook called by {!reset_counters} — lets externally-owned counters
-    participate in a registry-wide reset. *)
-
-val register_poll_merge : string -> (int -> unit) -> unit
-(** Injector for a polled counter: [register_poll_merge name add] lets
-    {!Export.merge} fold a worker domain's polled delta back into the
-    external storage ([add delta] must add [delta] to the counter the
-    poll reads).  Polls without an injector are skipped by merges. *)
-
 val counters : unit -> (string * int) list
-(** Snapshot of every registered counter and poll, sorted by name. *)
+(** Snapshot of every registered counter, sorted by name. *)
 
 val counter_value : string -> int option
-(** Look up one registered counter or poll by name. *)
+(** Look up one registered counter by name. *)
 
 val reset_counters : unit -> unit
-(** Zero every registered counter and run every registered reset hook. *)
+(** Zero every registered counter. *)
 
 (** {1 Spans}
 
@@ -246,21 +231,27 @@ module Journal : sig
   (** One record, without its newline, through a fresh {!Writer}. *)
 
   val of_json : string -> event option
-  (** Parse a line emitted by {!to_json}; [None] on malformed input.
-      Int fields are read exactly from their text: a fraction, an
-      exponent, [null] or a value outside the int range is malformed,
-      never rounded. *)
+  (** Read a line emitted by {!to_json}: [of_json s = Some e] exactly
+      when [s = to_json e], and [None] for every other string.  The
+      line is walked in the writer's layout (keys in its order, no
+      whitespace), and a number or string is accepted only in the form
+      the writer prints its value in: ints exactly from their text
+      (a fraction, an exponent, [null] or a value outside the int range
+      is refused, never rounded), floats as [%.17g] or the
+      [null]/[±1e999] sentinels, strings with the writer's escapes
+      only.  Never raises. *)
 
   val write_jsonl : path:string -> event list -> unit
   (** Write the events to [path], one {!Writer.line} each, through one
       writer whose buffer is drained every 64 KiB. *)
 
   val read_jsonl_strict : path:string -> event list
-  (** The events of a {!write_jsonl} file, integrity-checked: a
-      malformed line raises [Failure] naming the line number, and a
-      partial last record (the file does not end in a newline — the
-      signature of a crash-torn write) raises [Failure] naming the
-      truncation, instead of being silently dropped.
+  (** The events of a {!write_jsonl} file, integrity-checked: a line
+      {!of_json} refuses (a blank line included) raises [Failure] naming
+      the line number, and a partial last record (the file does not end
+      in a newline — the signature of a crash-torn write) raises
+      [Failure] naming the truncation, instead of being silently
+      dropped.
       @raise Sys_error on unreadable files. *)
 end
 
@@ -268,8 +259,8 @@ end
 
     The bridge the parallel sweep engine is built on.  A worker domain
     brackets each shard with {!Export.start}/{!Export.stop}, producing a
-    self-contained delta (counter increments, polled-gauge increments,
-    span aggregates, the journal slice).  The coordinator then
+    self-contained delta (counter increments, span aggregates, the
+    journal slice).  The coordinator then
     {!Export.merge}s the deltas {e in shard-index order}: counter and
     span addition is order-insensitive, and the journal slices
     concatenate into exactly the event sequence a sequential run would
@@ -294,9 +285,8 @@ module Export : sig
 
   val merge : t -> unit
   (** Fold the deltas into the calling domain's state: add counters and
-      span aggregates, apply registered poll injectors
-      ({!register_poll_merge}), and append the journal slice (also
-      forwarding it to the calling domain's sink). *)
+      span aggregates, and append the journal slice (also forwarding it
+      to the calling domain's sink). *)
 
   val journal : t -> Journal.event list
   (** The captured journal slice, in recording order. *)

@@ -27,9 +27,21 @@ let platform rng (c : Config.t) =
   in
   { platform = Platform.make ~machines ~num_databanks:c.databases; db_sizes }
 
+(* The most jobs a draw may expect, ten times the largest instance
+   [gripps_cli scale] is run at (10^7).  A job holds 104 bytes once
+   drawn (13 words of record, boxed floats and list cell), and the draw
+   grows the heap by about 145 bytes a job (measured at 10^6 jobs), so
+   the cap bounds a draw at about 15 GB. *)
+let max_expected_jobs = 1e8
+
 let jobs rng (c : Config.t) r =
   let total_speed = Platform.total_speed r.platform in
   let per_db_work = c.density *. total_speed *. c.horizon /. float_of_int c.databases in
+  (* Each databank expects [per_db_work / size] arrivals.  Written as a
+     negation so NaN is refused too; checked before any draw. *)
+  let expected = Array.fold_left (fun acc z -> acc +. (per_db_work /. z)) 0.0 r.db_sizes in
+  if not (expected <= max_expected_jobs) then
+    invalid_arg "Generator.jobs: too many expected jobs";
   (* Each databank's Poisson arrivals, databanks in ascending order, go
      straight into one pair of growable columns: the gaps
      [Dist.poisson_process] draws, in its order (the draw order fixes

@@ -27,7 +27,10 @@ val jobs : Gripps_rng.Splitmix.t -> Config.t -> realized -> Job.t list
     arrivals in ascending databank order, then — with more than one
     user — one user draw per job in that same concatenated order.  The
     draws land in flat columns; the records are built once, after the
-    sort. *)
+    sort.
+
+    @raise Invalid_argument when the draw expects more than 10{^8} jobs
+    ([Σ_d per_db_work / size_d]), checked before any draw. *)
 
 val instance : Gripps_rng.Splitmix.t -> Config.t -> Instance.t
 (** [platform] + [jobs], retrying (with the same stream) in the unlikely

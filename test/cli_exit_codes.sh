@@ -90,6 +90,13 @@ refused "serve with faults over an unbounded window (rate 0)" \
   "$CLI" serve --rate 0 --mtbf 10
 refused "serve with faults up to an infinite horizon" \
   "$CLI" serve --horizon inf --mtbf 10
+# Finite parameters that expect astronomically many draws: failures
+# (machines x window / mtbf) or jobs (the window's expected arrivals).
+refused "serve expecting too many failures" \
+  "$CLI" serve --n-jobs 10 --mtbf 1e-300 --mttr 1e-300
+refused "faults expecting too many failures" \
+  "$CLI" faults --mtbf 1e-6 --mttr 1e-6 --instances 1 --horizon 5
+refused "run expecting too many jobs" "$CLI" run --density 1e12
 
 # Malformed data exits 3.
 printf '0.0 10.0 0\nbogus line\n' > "$TMP/bad.jobs"

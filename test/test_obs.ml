@@ -37,15 +37,6 @@ let test_counters () =
   Obs.Counter.reset c;
   Alcotest.(check int) "reset" 0 (Obs.Counter.value c)
 
-let test_poll () =
-  let cell = ref 7 in
-  Obs.register_poll "test.obs.poll" (fun () -> !cell);
-  Alcotest.(check (option int)) "poll value" (Some 7)
-    (Obs.counter_value "test.obs.poll");
-  cell := 9;
-  Alcotest.(check (option int)) "poll is live" (Some 9)
-    (Obs.counter_value "test.obs.poll")
-
 (* ---- spans ------------------------------------------------------------ *)
 
 (* A deterministic clock advancing 1 s per reading: outer opens at 0,
@@ -200,7 +191,17 @@ let test_of_json_malformed () =
       "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":1,\"subject\":null}";
       "{\"type\":\"event\",\"kind\":\"arrival\",\"time\":1,\"subject\":1e3}";
       "{\"type\":\"segment\",\"start\":0,\"end\":1,\"shares\":[[0.7,[[2,1]]]]}";
-      "{\"type\":\"segment\",\"start\":0,\"end\":1,\"shares\":[[0,[[2.9,1]]]]}" ]
+      "{\"type\":\"segment\",\"start\":0,\"end\":1,\"shares\":[[0,[[2.9,1]]]]}";
+      (* JSON the writer does not write: a space after a colon, two keys
+         swapped, an extra key, a missing horizon, a trailing \r, and
+         the escapes \/ and \b *)
+      "{\"type\": \"run_start\",\"scheduler\":\"Online\",\"jobs\":3,\"machines\":2}";
+      "{\"type\":\"run_start\",\"jobs\":3,\"scheduler\":\"Online\",\"machines\":2}";
+      "{\"type\":\"run_start\",\"scheduler\":\"Online\",\"jobs\":3,\"machines\":2,\"x\":1}";
+      "{\"type\":\"replan\",\"time\":2.5,\"scheduler\":\"Idle\",\"alloc\":[]}";
+      "{\"type\":\"run_end\",\"time\":54.15123456789,\"completed\":6}\r";
+      "{\"type\":\"note\",\"key\":\"a\\/b\",\"value\":\"\"}";
+      "{\"type\":\"note\",\"key\":\"a\\bb\",\"value\":\"\"}" ]
 
 (* The lines the [Printf]-based encoder wrote for [sample_events @
    edge_events], kept as literals: a drift in the format fails here even
@@ -246,6 +247,38 @@ let pinned_lines =
 let test_to_json_pinned () =
   Alcotest.(check (list string)) "to_json bytes" pinned_lines
     (List.map J.to_json (sample_events @ edge_events))
+
+(* The reader accepts exactly what the writer writes: every truncation
+   of a pinned line and every substitution of one byte by a character
+   that matters to the layout must come back without raising, and a
+   line it accepts must be the writer's bytes for the event it reads
+   as. *)
+let test_of_json_exact_sweep () =
+  let accepted = ref 0 and rejected = ref 0 in
+  let try_line line =
+    match J.of_json line with
+    | None -> incr rejected
+    | Some e ->
+      incr accepted;
+      if not (J.to_json e = line && compare (J.of_json (J.to_json e)) (Some e) = 0)
+      then Alcotest.failf "%S reads as an event the writer prints otherwise" line
+    | exception ex -> Alcotest.failf "%S raised %s" line (Printexc.to_string ex)
+  in
+  List.iter
+    (fun line ->
+      for k = 0 to String.length line - 1 do
+        try_line (String.sub line 0 k);
+        List.iter
+          (fun ch ->
+            if line.[k] <> ch then
+              try_line (String.mapi (fun i c -> if i = k then ch else c) line))
+          [ ' '; '"'; ','; ':'; '0'; '9'; '-'; '\\'; '}'; 'x' ]
+      done)
+    pinned_lines;
+  (* A digit may stand for a digit: those substitutions are accepted. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "both outcomes occur (%d accepted, %d rejected)" !accepted !rejected)
+    true (!accepted > 0 && !rejected > 0)
 
 let float_edges =
   [ 0.0; -0.0; -3.0; 9007199254740991.0; 9007199254740992.0;
@@ -451,7 +484,10 @@ let test_read_jsonl_strict_errors () =
              ^ String.sub (J.to_json (note 2)) 0 5);
       expect_failure "torn last record" "truncated";
       write (J.to_json (note 1) ^ "\n" ^ J.to_json (note 2));
-      expect_failure "missing trailing newline" "truncated")
+      expect_failure "missing trailing newline" "truncated";
+      (* No writer emits a blank line: it is named, not skipped. *)
+      write (J.to_json (note 1) ^ "\n\n" ^ J.to_json (note 2) ^ "\n");
+      expect_failure "blank line" "line 2")
 
 (* ---- journal replay --------------------------------------------------- *)
 
@@ -692,7 +728,6 @@ let test_trace_verify_offline () =
 let suite =
   ( "obs",
     [ Alcotest.test_case "counters" `Quick (sandboxed test_counters);
-      Alcotest.test_case "polled gauges" `Quick (sandboxed test_poll);
       Alcotest.test_case "span nesting" `Quick (sandboxed test_span_nesting);
       Alcotest.test_case "span journal depth" `Quick
         (sandboxed test_span_journal_depth);
@@ -706,6 +741,8 @@ let suite =
       Alcotest.test_case "malformed json rejected" `Quick
         (sandboxed test_of_json_malformed);
       Alcotest.test_case "to_json bytes pinned" `Quick test_to_json_pinned;
+      Alcotest.test_case "of_json accepts exactly the writer's bytes" `Quick
+        test_of_json_exact_sweep;
       QCheck_alcotest.to_alcotest prop_float_emitter;
       Alcotest.test_case "float emitter edges" `Quick test_float_emitter_edges;
       QCheck_alcotest.to_alcotest prop_int_emitter;

@@ -96,6 +96,34 @@ let test_counter_hammer () =
   Alcotest.(check int) "sequential reference" (2 * per_shard)
     (hammer Pool.sequential 2)
 
+(* Rat's fast-path tallies are Obs counters: a fixed mix of native and
+   overflowing rational operations per shard must reach the coordinator
+   whole, whichever domain ran the shard. *)
+let test_rat_tallies_across_domains () =
+  let module Q = Gripps_numeric.Rat in
+  let big = Q.of_ints (max_int - 1) 1 in
+  let mix _ =
+    for i = 1 to 1000 do
+      let small = Q.of_ints i (i + 1) in
+      ignore (Sys.opaque_identity (Q.add small small));
+      ignore (Sys.opaque_identity (Q.mul small big));
+      if i mod 3 = 0 then ignore (Sys.opaque_identity (Q.add big big))
+    done
+  in
+  let tallies pool shards =
+    Obs.Counter.reset Q.fast_hits;
+    Obs.Counter.reset Q.fast_falls;
+    Pool.map_reduce pool ~shards ~map:mix ~init:() ~reduce:(fun () () -> ());
+    (Obs.Counter.value Q.fast_hits, Obs.Counter.value Q.fast_falls)
+  in
+  let hits, falls = tallies Pool.sequential 1 in
+  Alcotest.(check bool) "the mix takes both routes" true (hits > 0 && falls > 0);
+  let sequential = tallies Pool.sequential 8 in
+  Alcotest.(check (pair int int)) "8 shards = 8 x one shard" (8 * hits, 8 * falls)
+    sequential;
+  Alcotest.(check (pair int int)) "4 domains = sequential" sequential
+    (tallies (Pool.create ~domains:4 ()) 8)
+
 (* ---- differential harness: pool size is unobservable ------------------ *)
 
 (* Everything a sweep result feeds into the paper's tables, minus the
@@ -266,6 +294,8 @@ let suite =
         (sandboxed test_negative_shards_rejected);
       Alcotest.test_case "counter hammer across domains" `Quick
         (sandboxed test_counter_hammer);
+      Alcotest.test_case "rat tallies across domains" `Quick
+        (sandboxed test_rat_tallies_across_domains);
       QCheck_alcotest.to_alcotest prop_differential;
       Alcotest.test_case "resilience render identical across pools" `Slow
         (sandboxed test_resilience_differential);

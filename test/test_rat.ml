@@ -175,20 +175,20 @@ let prop_fast_path_string_identical =
       && String.equal (Q.to_string (Q.mul a b)) (Q.to_string (ref_mul a b)))
 
 let test_fast_path_counters () =
-  Q.reset_stats ();
+  let module C = Gripps_obs.Obs.Counter in
+  let reset () = C.reset Q.fast_hits; C.reset Q.fast_falls in
+  reset ();
   ignore (Q.add (q 1 2) (q 1 3));
-  let s = Q.stats () in
-  Alcotest.(check bool) "small add hits" true (s.Q.fast_hits > 0);
-  Alcotest.(check int) "small add does not fall" 0 s.Q.fast_falls;
-  Q.reset_stats ();
+  Alcotest.(check bool) "small add hits" true (C.value Q.fast_hits > 0);
+  Alcotest.(check int) "small add does not fall" 0 (C.value Q.fast_falls);
+  reset ();
   (* (max_int-1)/1 + (max_int-1)/1 overflows the native numerator. *)
   let big = q (max_int - 1) 1 in
   let sum = Q.add big big in
-  let s = Q.stats () in
-  Alcotest.(check bool) "overflow falls back" true (s.Q.fast_falls > 0);
+  Alcotest.(check bool) "overflow falls back" true (C.value Q.fast_falls > 0);
   Alcotest.(check bool) "fallback result exact" true
     (Q.equal sum (Q.make (B.mul (B.of_int 2) (B.of_int (max_int - 1))) (B.of_int 1)));
-  Q.reset_stats ()
+  reset ()
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
