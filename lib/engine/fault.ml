@@ -1,5 +1,3 @@
-open Gripps_model
-
 type loss = Crash | Pause
 
 type edge = { time : float; machine : int; up : bool }
@@ -24,18 +22,6 @@ let normalize trace =
       if e.machine < 0 then invalid_arg "Fault.normalize: negative machine id")
     trace;
   List.stable_sort compare_edge trace
-
-let merge a b = normalize (a @ b)
-
-let of_platform platform =
-  Array.to_list (Platform.machines platform)
-  |> List.concat_map (fun (m : Machine.t) ->
-         List.concat_map
-           (fun (s, e) ->
-             [ { time = s; machine = m.Machine.id; up = false };
-               { time = e; machine = m.Machine.id; up = true } ])
-           m.Machine.downtime)
-  |> normalize
 
 (* The most failures a trace may expect, [machines * until / mtbf].  A
    failure holds 144 bytes once drawn (two edges of 9 words), and the

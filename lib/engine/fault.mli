@@ -3,7 +3,11 @@
     A fault trace is a chronological list of availability edges — machine
     [m] goes down / comes back up at date [t].  The simulator consumes a
     trace alongside the workload and turns each edge into a
-    [Failure]/[Recovery] scheduler event (see {!Sim}).
+    [Failure]/[Recovery] scheduler event (see {!Sim}).  A trace is the
+    only way outages reach a run: the caller draws it ({!poisson}) or
+    writes it out, and passes it to the batch engine, the daemon or the
+    federation as their [~faults] argument; platforms and workload
+    configurations carry none.
 
     Two loss semantics govern what happens to in-flight work when a
     machine dies:
@@ -18,8 +22,6 @@
     {!Gripps_rng.Splitmix} stream, so a fixed seed reproduces the same
     outage pattern run after run. *)
 
-open Gripps_model
-
 type loss = Crash | Pause
 
 type edge = { time : float; machine : int; up : bool }
@@ -33,13 +35,6 @@ val normalize : trace -> trace
     an instantaneous down/up pair leaves the machine down for the
     zero-length instant — the conservative reading).
     @raise Invalid_argument on NaN dates or negative machine ids. *)
-
-val merge : trace -> trace -> trace
-(** Union of two traces, normalized. *)
-
-val of_platform : Platform.t -> trace
-(** The trace encoded by the platform's static downtime intervals
-    ({!Machine.with_downtime}); empty when no machine has downtime. *)
 
 val poisson :
   Gripps_rng.Splitmix.t ->

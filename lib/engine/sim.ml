@@ -294,9 +294,7 @@ let run_core ?horizon ?(faults = []) ?(loss = Fault.Crash) ~record ~name
   Array.fill k.Kernel.ctimes 0 nj nan;
   Array.blit (Instance.sizes inst) 0 k.Kernel.size 0 nj;
   Array.blit (Instance.sizes inst) 0 k.Kernel.remaining 0 nj;
-  (* The effective fault trace: explicit edges merged with the platform's
-     static downtime intervals. *)
-  k.Kernel.trace <- Fault.merge faults (Fault.of_platform platform);
+  k.Kernel.trace <- Fault.normalize faults;
   List.iter
     (fun (e : Fault.edge) ->
       if e.machine >= nm then

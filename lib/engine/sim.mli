@@ -13,13 +13,12 @@
     entry observable through {!active_jobs}) and the decisions it writes
     cannot be retracted for elapsed time.
 
-    {b Faults.}  A {!Fault.trace} (explicit, or encoded as platform
-    downtime intervals) makes machines fail and recover mid-run.  The
-    scheduler is re-invoked with {!Failure}/{!Recovery} events exactly as
-    it is on arrivals, allocations on down machines are rejected, and the
-    {!Fault.loss} semantics decides whether in-flight work on a dying
-    machine survives ([Pause]) or is re-added to the job's remaining work
-    ([Crash]).
+    {b Faults.}  The {!Fault.trace} the caller passes makes machines
+    fail and recover mid-run.  The scheduler is re-invoked with
+    {!Failure}/{!Recovery} events exactly as it is on arrivals,
+    allocations on down machines are rejected, and the {!Fault.loss}
+    semantics decides whether in-flight work on a dying machine survives
+    ([Pause]) or is re-added to the job's remaining work ([Crash]).
 
     {b Memory layout.}  Engine state is columnar — parallel [float array]
     / [int array] / [bool array] columns indexed by job or machine id —
@@ -224,7 +223,7 @@ val run_report_flat :
     @param horizon abort guard: simulating past this date raises
     {!Horizon_exceeded} (default: no guard).
     @param faults availability edges injected during the run (default
-    none), merged with the platform's static downtime intervals.
+    none), in any order: the run sorts them ({!Fault.normalize}).
     @param loss what happens to in-flight work when a machine dies
     (default [Crash]).
     @param record when [false] (default [true]), skip materializing the

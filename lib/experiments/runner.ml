@@ -35,8 +35,7 @@ let bender98_max_jobs = 60
 
 let run_instance
     ?(schedulers = Sched_registry.schedulers Sched_registry.paper_panel)
-    ?(objectives = []) ?(faults = []) ?(loss = Fault.Crash) ?(guard = 1e9)
-    config inst =
+    ?(objectives = []) ?(guard = 1e9) config inst =
   let measurements =
     List.filter_map
       (fun s ->
@@ -55,7 +54,7 @@ let run_instance
              typed [Metrics.Incomplete] every metrics consumer already
              maps to exit 3, naming the first job left pending. *)
           let report =
-            try Sim.run_report_flat ~horizon:guard ~faults ~loss s inst
+            try Sim.run_report_flat ~horizon:guard s inst
             with Sim.Horizon_exceeded { pending; _ } as e ->
               (match pending with
               | j :: _ -> raise (Metrics.Incomplete j)
@@ -133,18 +132,8 @@ let instance_job ?schedulers ?objectives ?guard ~seed config k =
      results do not shift when the instance count changes, and shard [k]
      of a parallel sweep replays identically wherever it runs. *)
   let rng = Gripps_rng.Splitmix.create (seed + (1_000_003 * k)) in
-  let inst = W.Generator.instance rng config in
-  (* Fault draws continue the same stream, after the workload draws. *)
-  let faults =
-    W.Generator.fault_trace rng config
-      ~machines:(Platform.num_machines (Instance.platform inst))
-  in
-  let loss =
-    match config.W.Config.faults with
-    | Some f -> f.W.Config.loss
-    | None -> Fault.Crash
-  in
-  run_instance ?schedulers ?objectives ?guard ~faults ~loss config inst
+  run_instance ?schedulers ?objectives ?guard config
+    (W.Generator.instance rng config)
 
 let config_sweep ?schedulers ?objectives ?guard ~seed ~instances config =
   Gripps_parallel.Sweep.make ~length:instances

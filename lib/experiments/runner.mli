@@ -46,17 +46,14 @@ type instance_result = {
 val run_instance :
   ?schedulers:Sim.flat_scheduler list ->
   ?objectives:Metrics.objective list ->
-  ?faults:Fault.trace ->
-  ?loss:Fault.loss ->
   ?guard:float ->
   Gripps_workload.Config.t ->
   Instance.t ->
   instance_result
-(** [faults] (default none) and [loss] (default {!Fault.Crash}) inject the
-    same machine-failure trace into every scheduler's run, so the
-    portfolio is compared under identical outages.  Runs are measured at
-    observability level [Spans] at least (promoted temporarily when the
-    ambient level is [Counters]) so that [solver_time] is populated.
+(** Every scheduler runs on reliable machines (fault-injected runs are
+    {!Resilience}'s).  Runs are measured at observability level [Spans]
+    at least (promoted temporarily when the ambient level is [Counters])
+    so that [solver_time] is populated.
     [guard] (default [1e9]) is the simulation abort guard: a run dragged
     past it cannot deliver complete metrics, so the engine's
     {!Sim.Horizon_exceeded} is converted to the typed
@@ -88,10 +85,9 @@ val instance_job :
   int ->
   instance_result
 (** [instance_job ~seed config k] realizes and measures the [k]-th random
-    instance of [config].  All randomness (workload and fault trace) is a
-    pure function of [(seed, k)], so the job can run in any domain, in
-    any order, and return the same result — this is the unit every sweep
-    shards on. *)
+    instance of [config].  All randomness is a pure function of
+    [(seed, k)], so the job can run in any domain, in any order, and
+    return the same result — this is the unit every sweep shards on. *)
 
 val config_sweep :
   ?schedulers:Sim.flat_scheduler list ->
@@ -113,8 +109,6 @@ val run_config :
   Gripps_workload.Config.t ->
   instance_result list
 (** Realize [instances] random instances of the configuration (seeded
-    deterministically) and measure the portfolio on each.  When the
-    configuration carries a {!Gripps_workload.Config.fault_axis}, each
-    instance also gets a deterministic fault trace drawn from the same
-    stream.  [pool] (default sequential) shards instances across domains;
-    results are identical at any pool size. *)
+    deterministically) and measure the portfolio on each.  [pool]
+    (default sequential) shards instances across domains; results are
+    identical at any pool size. *)

@@ -140,6 +140,10 @@ let measure_cell ~seed ~legacy_cap ~repeats n spec =
   let setup0 = Gc.minor_words () in
   let inst = instance_for ~seed n in
   let setup_mw = Gc.minor_words () -. setup0 in
+  (* Sweep set-up's garbage (the job list, the generator's and
+     [Instance.make]'s scratch arrays) before the timed run, so the run
+     reuses that memory instead of growing the heap past it. *)
+  Gc.full_major ();
   let flat = List_sched.flat_scheduler spec.flat in
   (* Headline run: flat path, no schedule recording.  The minor-words
      delta is domain-local (the counter lives in the measuring domain's

@@ -4,7 +4,8 @@
     Each (n, scheduler) cell is one shardable sweep job: it regenerates
     the pinned instance of ≈ n jobs (a pure function of [(seed, n)], so
     every scheduler at a given n sees the same instance in whichever
-    domain the cell lands), times the flat zero-allocation scheduler in
+    domain the cell lands), runs a full major collection so the run
+    reuses set-up's garbage, times the flat zero-allocation scheduler in
     its benchmarking posture (no schedule recording) — the headline
     events/s — and reports minor-heap words allocated per event from the
     engine's [sim.minor_words] counter.  Up to [legacy_cap] it also runs

@@ -15,7 +15,6 @@ type report = {
   lost : float array;
   replans : int;
   events : int;
-  journal : Gripps_obs.Obs.Journal.event list;
 }
 
 let run ?(pool = Pool.sequential) ?(faults = []) ?loss ?horizon
@@ -57,11 +56,6 @@ let run ?(pool = Pool.sequential) ?(faults = []) ?loss ?horizon
     if Float.is_nan completion.(j) then raise (Metrics.Incomplete j)
   done;
   let metrics = Metrics.of_completion inst ~completion in
-  let journal =
-    List.concat_map
-      (fun (r : Sim.report) -> r.Sim.journal)
-      (Array.to_list shard_reports)
-  in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 shard_reports in
   {
     shards;
@@ -76,7 +70,6 @@ let run ?(pool = Pool.sequential) ?(faults = []) ?loss ?horizon
     lost;
     replans = sum (fun r -> r.Sim.replans);
     events = sum (fun r -> r.Sim.events);
-    journal;
   }
 
 let stretch_ratios ~baseline r =

@@ -43,9 +43,6 @@ type report = {
   lost : float array;            (** merged crash-lost Mflop, global ids *)
   replans : int;                 (** total scheduler invocations *)
   events : int;                  (** total simulation events *)
-  journal : Gripps_obs.Obs.Journal.event list;
-      (** shard-ordered concatenation of the per-shard journals (empty
-          unless the observability level is [Events]) *)
 }
 
 val run :

@@ -10,11 +10,10 @@
     shard-local coordinate frames.
 
     Databank replication is preserved verbatim: every shard machine keeps
-    its full-length databank vector (and its downtime windows), so a
-    shard hosts exactly the databanks its machines replicate.  A job can
-    only be routed to a shard hosting its databank — the {!hosts}
-    predicate is the eligibility constraint every {!Frontend} policy
-    routes under. *)
+    its full-length databank vector, so a shard hosts exactly the
+    databanks its machines replicate.  A job can only be routed to a
+    shard hosting its databank — the {!hosts} predicate is the
+    eligibility constraint every {!Frontend} policy routes under. *)
 
 open Gripps_model
 

@@ -1,32 +1,10 @@
-type t = {
-  id : int;
-  speed : float;
-  databanks : bool array;
-  downtime : (float * float) list;
-}
-
-let check_downtime downtime =
-  let rec go last = function
-    | [] -> ()
-    | (s, e) :: rest ->
-      if e <= s then invalid_arg "Machine: empty downtime interval";
-      if s < last then invalid_arg "Machine: downtime intervals overlap or unsorted";
-      go e rest
-  in
-  go neg_infinity downtime
+type t = { id : int; speed : float; databanks : bool array }
 
 let make ~id ~speed ~databanks =
   if speed <= 0.0 then invalid_arg "Machine.make: non-positive speed";
-  { id; speed; databanks = Array.copy databanks; downtime = [] }
-
-let with_downtime m downtime =
-  check_downtime downtime;
-  { m with downtime }
+  { id; speed; databanks = Array.copy databanks }
 
 let hosts m d = d >= 0 && d < Array.length m.databanks && m.databanks.(d)
-
-let available_at m t =
-  not (List.exists (fun (s, e) -> s <= t && t < e) m.downtime)
 
 let pp fmt m =
   let dbs =
@@ -36,11 +14,4 @@ let pp fmt m =
     |> List.map string_of_int
     |> String.concat ","
   in
-  let down =
-    match m.downtime with
-    | [] -> ""
-    | ivs ->
-      ", down:"
-      ^ String.concat ";" (List.map (fun (s, e) -> Printf.sprintf "[%g,%g)" s e) ivs)
-  in
-  Format.fprintf fmt "M%d[speed=%g, dbs={%s}%s]" m.id m.speed dbs down
+  Format.fprintf fmt "M%d[speed=%g, dbs={%s}]" m.id m.speed dbs

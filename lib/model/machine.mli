@@ -4,36 +4,21 @@
     sharing the same databank replicas are exactly equivalent, under the
     divisible model, to a single machine with their aggregate speed.
 
-    The paper's platform never fails; the production extension attaches
-    {e downtime intervals} — half-open [(start, stop)) windows during
-    which the machine is unavailable.  The engine turns them into
-    failure/recovery events (see {!Gripps_engine} [Fault]); the model layer
-    only stores and queries them. *)
+    The model has no notion of failure, like the paper's platform:
+    outages reach a run only as the explicit fault trace its caller
+    passes (see {!Gripps_engine} [Fault]). *)
 
 type t = {
   id : int;
   speed : float;          (** Mflop/s; the paper's [1/p_i] *)
   databanks : bool array; (** [databanks.(d)] = replica of databank [d] present *)
-  downtime : (float * float) list;
-      (** sorted, disjoint half-open [(start, stop)) unavailability windows *)
 }
 
 val make : id:int -> speed:float -> databanks:bool array -> t
-(** No downtime; attach it with {!with_downtime}.
-    @raise Invalid_argument on non-positive speed. *)
-
-val with_downtime : t -> (float * float) list -> t
-(** A copy of the machine with the given unavailability windows.
-    @raise Invalid_argument when intervals are empty, unsorted, or
-    overlapping. *)
+(** @raise Invalid_argument on non-positive speed. *)
 
 val hosts : t -> int -> bool
 (** [hosts m d] is true when databank [d] is replicated on [m]; a job
     needing [d] can only run there (restricted availability, §2.1). *)
-
-val available_at : t -> float -> bool
-(** Is the machine up at date [t] according to its downtime intervals?
-    (Half-open: a machine is down at the start of a window and up again at
-    its end.) *)
 
 val pp : Format.formatter -> t -> unit

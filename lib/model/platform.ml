@@ -37,32 +37,6 @@ let speed_for p d =
 
 let can_run _p (j : Job.t) m = Machine.hosts m j.databank
 
-let available_at p i t = Machine.available_at p.machines.(i) t
-
-let speed_at p t =
-  Array.fold_left
-    (fun acc (m : Machine.t) ->
-      if Machine.available_at m t then acc +. m.speed else acc)
-    0.0 p.machines
-
-let has_downtime p =
-  Array.exists (fun (m : Machine.t) -> m.downtime <> []) p.machines
-
-let with_downtime p windows =
-  let machines =
-    Array.to_list p.machines
-    |> List.map (fun (m : Machine.t) ->
-           match List.assoc_opt m.id windows with
-           | Some ivs -> Machine.with_downtime m ivs
-           | None -> m)
-  in
-  List.iter
-    (fun (mid, _) ->
-      if mid < 0 || mid >= Array.length p.machines then
-        invalid_arg "Platform.with_downtime: unknown machine")
-    windows;
-  make ~machines ~num_databanks:p.num_databanks
-
 let uniform ~speeds =
   let machines =
     List.mapi (fun i s -> Machine.make ~id:i ~speed:s ~databanks:[| true |]) speeds

@@ -1,4 +1,7 @@
-(** A heterogeneous collection of databank servers. *)
+(** A heterogeneous collection of databank servers.
+
+    Every machine is up for the whole run, as in the paper; outages
+    reach a run only as an explicit fault trace (see {!Machine}). *)
 
 type t
 
@@ -24,25 +27,6 @@ val speed_for : t -> int -> float
     processing rate of a job needing it. *)
 
 val can_run : t -> Job.t -> Machine.t -> bool
-
-(** {1 Availability}
-
-    Queries over the machines' downtime intervals (see
-    {!Machine.with_downtime}). *)
-
-val available_at : t -> int -> float -> bool
-(** Is machine [i] up at date [t]? *)
-
-val speed_at : t -> float -> float
-(** Aggregate speed of the machines up at date [t]. *)
-
-val has_downtime : t -> bool
-
-val with_downtime : t -> (int * (float * float) list) list -> t
-(** A copy of the platform with downtime windows attached to the listed
-    machines (others keep theirs).
-    @raise Invalid_argument on an unknown machine id or malformed
-    windows. *)
 
 val uniform : speeds:float list -> t
 (** Platform with a single databank replicated everywhere — the uniform

@@ -266,7 +266,7 @@ let make_daemon cfg src =
   (* The kernel's sliver yardstick stays 0.0: a stream has no total-work
      yardstick, so the daemon's sliver rule is the per-job [1e-9 × size]
      (see Kernel.advance — [fmax size 0.0 = size] bit for bit). *)
-  kern.Kernel.trace <- Fault.merge cfg.faults (Fault.of_platform platform);
+  kern.Kernel.trace <- cfg.faults;
   { cfg; src; kern; nm; nd; ext; release; db; free_slots; live = 0;
     eng =
       List_sched.engine ~rule:(flat_rule cfg.rule) ~platform ~capacity:k
@@ -790,8 +790,7 @@ let rec pop_arrivals d =
   then begin
     let room = d.live < d.cfg.max_live || d.q_len < d.cfg.queue_cap in
     if not (d.cfg.policy = Block && not room) then begin
-      (* Scalar lookahead reads ([Source.peek] would allocate an item
-         per admitted job); release and size go straight into the
+      (* Scalar lookahead reads: release and size go straight into the
          admission staging cells. *)
       let ext = Source.cursor d.src in
       let databank = Source.next_databank d.src in

@@ -65,6 +65,8 @@ type config = {
   max_live : int;       (** slot-pool capacity (≥ 1) *)
   queue_cap : int;      (** pending-queue capacity (≥ 0) *)
   faults : Gripps_engine.Fault.trace;
+      (** the run's only outages, chronological ({!config} normalizes
+          them; the daemon loads them as they are) *)
   loss : Gripps_engine.Fault.loss;
   horizon : float option;
       (** stop (outcome {!Horizon_reached}) before advancing past this

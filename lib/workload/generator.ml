@@ -6,7 +6,7 @@ type realized = { platform : Platform.t; db_sizes : float array }
 
 let platform rng (c : Config.t) =
   let db_sizes =
-    let lo, hi = c.db_size_range in
+    let lo, hi = Config.db_size_range in
     Array.init c.databases (fun _ -> Dist.uniform rng ~lo ~hi)
   in
   let replicas =
@@ -20,7 +20,7 @@ let platform rng (c : Config.t) =
     replicas;
   let machines =
     List.init c.sites (fun site ->
-        let per_cpu = Dist.pick rng c.reference_speeds in
+        let per_cpu = Dist.pick rng Config.reference_speeds in
         let speed = per_cpu *. float_of_int c.processors_per_site in
         let databanks = Array.init c.databases (fun d -> replicas.(d).(site)) in
         Machine.make ~id:site ~speed ~databanks)
@@ -102,10 +102,3 @@ let rec instance rng c =
   match jobs rng c r with
   | [] -> instance rng c
   | js -> Instance.make ~platform:r.platform ~jobs:js
-
-let fault_trace rng (c : Config.t) ~machines =
-  match c.faults with
-  | None -> []
-  | Some f ->
-    Gripps_engine.Fault.poisson rng ~mtbf:f.Config.mtbf ~mttr:f.Config.mttr
-      ~machines ~until:c.horizon

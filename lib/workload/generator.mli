@@ -2,7 +2,9 @@
     (paper §5.1, "concrete simulation instances").
 
     Deterministic given the RNG stream; every experiment seeds its own
-    {!Gripps_rng.Splitmix} so tables regenerate identically. *)
+    {!Gripps_rng.Splitmix} so tables regenerate identically.  No fault
+    trace is drawn here: a caller that wants outages draws its own with
+    the engine's [Fault.poisson]. *)
 
 open Gripps_model
 
@@ -12,9 +14,10 @@ type realized = {
 }
 
 val platform : Gripps_rng.Splitmix.t -> Config.t -> realized
-(** Draw cluster speeds from the reference values, databank sizes from the
-    configured range, and replicate each databank at each site with the
-    configured probability (forcing at least one replica per databank). *)
+(** Draw cluster speeds from {!Config.reference_speeds}, databank sizes
+    from {!Config.db_size_range}, and replicate each databank at each
+    site with the configured probability (forcing at least one replica
+    per databank). *)
 
 val jobs : Gripps_rng.Splitmix.t -> Config.t -> realized -> Job.t list
 (** Per-databank Poisson processes over the arrival window, with rates set
@@ -35,9 +38,3 @@ val jobs : Gripps_rng.Splitmix.t -> Config.t -> realized -> Job.t list
 val instance : Gripps_rng.Splitmix.t -> Config.t -> Instance.t
 (** [platform] + [jobs], retrying (with the same stream) in the unlikely
     event that a draw produces no job at all. *)
-
-val fault_trace :
-  Gripps_rng.Splitmix.t -> Config.t -> machines:int -> Gripps_engine.Fault.trace
-(** The fault trace for the configuration's {!Config.fault_axis}, drawn on
-    the arrival window (empty when [faults = None]).  Deterministic given
-    the stream, like everything else here. *)

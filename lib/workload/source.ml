@@ -7,9 +7,8 @@ type item = { release : float; size : float; databank : int }
    an int cell) rather than in [mutable float] record fields or a cached
    [item option]: stores into mutable float fields of a mixed record box,
    and a cached option allocates per item.  The scalar accessors below
-   ([next_release]/[next_size]/[next_databank]/[drop]) are the
-   allocation-free face the streaming daemon consumes; [peek]/[next]
-   materialise an [item] on demand for callers that want one. *)
+   ([next_release]/[next_size]/[next_databank]/[drop]) are the only
+   read path, and allocate nothing. *)
 type t = {
   mutable cursor : int;        (* items consumed *)
   cells : float array;         (* 0 = clock (release of the last consumed
@@ -62,29 +61,13 @@ let drop s =
   s.cursor <- s.cursor + 1;
   s.cells.(0) <- s.cells.(1)
 
-let peek s =
-  ensure s;
-  if s.la = 1 then
-    Some { release = s.cells.(1); size = s.cells.(2); databank = s.la_db }
-  else None
-
-let next s =
-  match peek s with
-  | None -> None
-  | Some _ as r ->
-    s.la <- 0;
-    s.cursor <- s.cursor + 1;
-    s.cells.(0) <- s.cells.(1);
-    r
-
 let skip_items n s =
   for _ = 1 to n do
-    match next s with
-    | Some _ -> ()
-    | None ->
+    if exhausted s then
       failwith
         (Printf.sprintf "%s: resume skip overruns the stream (cursor %d)"
-           s.name n)
+           s.name n);
+    drop s
   done
 
 (* ---- line protocol ----------------------------------------------------- *)

@@ -1,10 +1,11 @@
 (** Streaming job sources for the long-running scheduler daemon.
 
     A source is a pull stream of requests in non-decreasing release
-    order, with one-item lookahead ({!peek}) so an event-driven consumer
-    can learn the next arrival date without committing to it, and an
-    explicit {b cursor} (items consumed so far) so a checkpointed daemon
-    can reconstruct the exact same stream position after a crash.
+    order, with one-item lookahead (the scalar reads below) so an
+    event-driven consumer can learn the next arrival date without
+    committing to it, and an explicit {b cursor} (items consumed so far)
+    so a checkpointed daemon can reconstruct the exact same stream
+    position after a crash.
 
     Two constructors:
     - {!of_file}/{!of_channel}: the line protocol — one request per line,
@@ -22,19 +23,11 @@ type item = { release : float; size : float; databank : int }
 
 type t
 
-val peek : t -> item option
-(** The next item without consuming it ([None] = exhausted).  Allocates
-    a fresh [item] per call — hot loops should use the scalar accessors
-    below instead. *)
+(** {2 Lookahead}
 
-val next : t -> item option
-(** Consume and return the next item. *)
-
-(** {2 Allocation-free lookahead}
-
-    Scalar views of the lookahead item for consumers under a minor-words
-    budget (the streaming daemon's event loop): no [item] and no option
-    is materialised. *)
+    Scalar views of the lookahead item, for consumers under a
+    minor-words budget (the streaming daemon's event loop): no [item]
+    and no option is materialised. *)
 
 val exhausted : t -> bool
 (** No items remain. *)
@@ -51,12 +44,11 @@ val next_databank : t -> int
     @raise Invalid_argument when exhausted. *)
 
 val drop : t -> unit
-(** Consume the next item without materialising it (the scalar
-    counterpart of {!next}: advances the cursor and the clock).
+(** Consume the next item: advances the cursor and the clock.
     @raise Invalid_argument when exhausted. *)
 
 val cursor : t -> int
-(** Items consumed so far (lookahead by {!peek} does not count). *)
+(** Items consumed so far (the lookahead item does not count). *)
 
 val clock : t -> float
 (** Release date of the last {e consumed} item (0 before the first) —
@@ -65,11 +57,6 @@ val clock : t -> float
 
 val close : t -> unit
 (** Release the underlying channel, if any (idempotent). *)
-
-val parse_line : string -> (item option, string) result
-(** One line of the protocol: [Ok None] for blanks and comments,
-    [Error] with a human-readable reason otherwise.  Exposed for
-    tests. *)
 
 val of_channel : ?skip:int -> name:string -> in_channel -> t
 (** Stream the line protocol from a channel.  [skip] consumes (and

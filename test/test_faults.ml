@@ -90,19 +90,6 @@ let test_pause_preserves_work () =
   Alcotest.(check (float 1e-9)) "nothing lost" 0.0 r.Sim.lost.(0);
   Alcotest.(check (list string)) "valid" [] (Schedule.validate r.Sim.schedule)
 
-let test_static_downtime_equivalent () =
-  (* The same outage encoded as a platform downtime window instead of an
-     explicit trace. *)
-  let platform =
-    Platform.with_downtime (Platform.single ~speed:1.0) [ (0, [ (5.0, 7.0) ]) ]
-  in
-  let inst = Instance.make ~platform ~jobs:[ mk_job ~size:10.0 () ] in
-  let r =
-    Sim.run_report_flat ~horizon:1e6 ~loss:Fault.Pause List_sched.flat_srpt inst
-  in
-  Alcotest.(check (float 1e-9)) "pause completion" 12.0
-    (Schedule.completion_exn r.Sim.schedule 0)
-
 let test_down_machine_allocation_rejected () =
   let stubborn =
     Sim.flat_stateless "stubborn" (fun st buf ->
@@ -289,19 +276,6 @@ let test_resilience_sweep_smoke () =
   Alcotest.(check bool) "renders" true
     (String.length (E.Resilience.render s1) > 0)
 
-let test_fault_axis_config () =
-  let fa = W.Config.fault_axis ~mtbf:100.0 ~mttr:10.0 () in
-  let c = W.Config.with_faults W.Config.default fa in
-  Alcotest.(check bool) "describe mentions faults" true
-    (String.length (W.Config.describe c) > String.length (W.Config.describe W.Config.default));
-  let trace = W.Generator.fault_trace (Gripps_rng.Splitmix.create 3) c ~machines:3 in
-  Alcotest.(check bool) "trace drawn" true (List.length trace > 0);
-  let none = W.Generator.fault_trace (Gripps_rng.Splitmix.create 3) W.Config.default ~machines:3 in
-  Alcotest.(check int) "no axis, no trace" 0 (List.length none);
-  Alcotest.check_raises "bad mtbf"
-    (Invalid_argument "Config.fault_axis: non-positive mtbf") (fun () ->
-      ignore (W.Config.fault_axis ~mtbf:0.0 ~mttr:1.0 ()))
-
 let suite =
   ( "faults",
     [ Alcotest.test_case "poisson deterministic" `Quick test_poisson_deterministic;
@@ -311,8 +285,6 @@ let suite =
       Alcotest.test_case "crash loses in-flight work" `Quick
         test_crash_loses_in_flight_work;
       Alcotest.test_case "pause preserves work" `Quick test_pause_preserves_work;
-      Alcotest.test_case "static downtime windows" `Quick
-        test_static_downtime_equivalent;
       Alcotest.test_case "down machine allocation rejected" `Quick
         test_down_machine_allocation_rejected;
       Alcotest.test_case "waiting for repair is not stalled" `Quick
@@ -328,5 +300,4 @@ let suite =
         test_online_budget_degrades_to_swrpt;
       Alcotest.test_case "zero-budget Offline completes" `Quick
         test_offline_budget_chain_completes;
-      Alcotest.test_case "resilience sweep smoke" `Quick test_resilience_sweep_smoke;
-      Alcotest.test_case "fault axis config" `Quick test_fault_axis_config ] )
+      Alcotest.test_case "resilience sweep smoke" `Quick test_resilience_sweep_smoke ] )

@@ -40,18 +40,22 @@ let sandboxed f () =
 let sim_events events =
   List.filter (function J.Span_closed _ -> false | _ -> true) events
 
-let config ?faults ?(sites = 2) () =
-  W.Config.make ?faults ~sites ~databases:2 ~availability:0.8 ~density:1.0
+let config ?(sites = 2) () =
+  W.Config.make ~sites ~databases:2 ~availability:0.8 ~density:1.0
     ~horizon:6.0 ()
 
-(* Instance and fault trace drawn from one stream — the Runner seed
-   discipline, so conservation runs see non-trivial outages. *)
-let realize ~seed cfg =
+(* Instance and, with [~faults:true], a fault trace over its arrival
+   window drawn from the same stream after it, so conservation runs see
+   non-trivial outages. *)
+let realize ?(faults = false) ~seed cfg =
   let rng = Splitmix.create seed in
   let inst = W.Generator.instance rng cfg in
   let machines = Platform.num_machines (Instance.platform inst) in
-  let faults = W.Generator.fault_trace rng cfg ~machines in
-  (inst, faults)
+  ( inst,
+    if faults then
+      Fault.poisson rng ~mtbf:3.0 ~mttr:0.5 ~machines
+        ~until:cfg.W.Config.horizon
+    else [] )
 
 (* ---- 1-shard degeneration: federation is invisible -------------------- *)
 
@@ -95,7 +99,7 @@ let test_one_shard_identity_pinned () =
 (* The degeneration also holds under an injected fault trace: the
    projection of a global trace onto the single shard is the trace. *)
 let test_one_shard_identity_faults () =
-  let inst, faults = realize ~seed:42 (config ~faults:(W.Config.fault_axis ~mtbf:3.0 ~mttr:0.5 ()) ()) in
+  let inst, faults = realize ~faults:true ~seed:42 (config ()) in
   let sched = Gripps_sched.List_sched.flat_swrpt in
   let plain = Sim.run_report_flat ~faults sched inst in
   let fed = Fed.run ~shards:1 ~faults ~scheduler:sched inst in
@@ -116,10 +120,7 @@ let prop_conservation =
       pair (int_range 1 10_000)
         (pair (int_range 1 3) (oneofl Frontend.all_policies)))
     (fun (seed, (shards, policy)) ->
-      let cfg =
-        config ~sites:3 ~faults:(W.Config.fault_axis ~mtbf:3.0 ~mttr:0.5 ()) ()
-      in
-      let inst, faults = realize ~seed cfg in
+      let inst, faults = realize ~faults:true ~seed (config ~sites:3 ()) in
       let fed =
         Fed.run ~shards ~policy ~migrate:true ~faults
           ~scheduler:Gripps_sched.List_sched.flat_swrpt inst

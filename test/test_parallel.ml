@@ -144,18 +144,15 @@ let projection (rs : E.Runner.instance_result list) =
 let sim_events events =
   List.filter (function J.Span_closed _ -> false | _ -> true) events
 
-let small_configs =
-  let mk ?faults () =
-    W.Config.make ?faults ~sites:2 ~databases:2 ~availability:0.8 ~density:1.0
-      ~horizon:6.0 ()
-  in
-  [ mk (); mk ~faults:(W.Config.fault_axis ~mtbf:3.0 ~mttr:0.5 ()) () ]
+let small_config =
+  W.Config.make ~sites:2 ~databases:2 ~availability:0.8 ~density:1.0
+    ~horizon:6.0 ()
 
 let run_sweep ~seed pool =
   Obs.with_level Obs.Events (fun () ->
       J.clear ();
       let rs =
-        E.Tables.sweep ~seed ~instances_per_config:2 ~configs:small_configs
+        E.Tables.sweep ~seed ~instances_per_config:2 ~configs:[ small_config ]
           ~pool ~horizon:6.0 ()
       in
       let events = sim_events (J.events ()) in
@@ -164,7 +161,7 @@ let run_sweep ~seed pool =
 
 let prop_differential =
   QCheck2.Test.make
-    ~name:"sweep is bit-identical at 1, 2 and 4 domains (faults included)"
+    ~name:"sweep is bit-identical at 1, 2 and 4 domains"
     ~count:3
     QCheck2.Gen.(int_range 1 10_000)
     (fun seed ->
@@ -179,11 +176,10 @@ let prop_differential =
    must preserve the sequential summation order or the float means
    drift.  Render output is the user-facing byte-identity contract. *)
 let test_resilience_differential () =
-  let config = List.nth small_configs 1 in
   let render pool =
     E.Resilience.render
       (E.Resilience.run ~mtbf_grid:[ 4.0; 2.0 ] ~mttr:0.5 ~pool ~seed:77
-         ~instances:3 config)
+         ~instances:3 small_config)
   in
   let seq = render Pool.sequential in
   Alcotest.(check string) "2-domain resilience table" seq
@@ -223,7 +219,7 @@ let test_federation_differential () =
 let test_seed_discipline () =
   let run pool =
     let rs =
-      E.Runner.run_config ~pool ~seed:123 ~instances:3 (List.hd small_configs)
+      E.Runner.run_config ~pool ~seed:123 ~instances:3 small_config
     in
     projection rs
   in

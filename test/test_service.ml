@@ -353,12 +353,14 @@ let test_replay_verifies_journal () =
   (* Rebuild the full item list to construct the reference instance. *)
   let src = sc.mk_source ~cursor:0 ~clock:0.0 in
   let items = ref [] in
-  let rec drain () =
-    match Source.next src with
-    | Some it -> items := it :: !items; drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Source.exhausted src) do
+    items :=
+      { Source.release = Source.next_release src;
+        size = Source.next_size src;
+        databank = Source.next_databank src }
+      :: !items;
+    Source.drop src
+  done;
   let items = List.rev !items in
   let n = List.length items in
   with_tmpdir (fun dir ->
@@ -698,28 +700,23 @@ let test_pinned_bytes () =
     pinned_digests
 
 (* A whole checkpoint as the [Printf] writer printed it.  Machine 1's
-   downtime never ends, so the remaining trace holds a repair at
-   infinity, which [%.17g] prints as "inf". *)
+   outage never ends, so the remaining trace holds a repair at infinity,
+   which [%.17g] prints as "inf". *)
 let test_checkpoint_text_pinned () =
   with_tmpdir (fun dir ->
       let ckpt = Filename.concat dir "ckpt" in
-      let platform =
-        Platform.make
-          ~machines:
-            [ Machine.make ~id:0 ~speed:1.0 ~databanks:[| true |];
-              Machine.with_downtime
-                (Machine.make ~id:1 ~speed:1.0 ~databanks:[| true |])
-                [ (1.5, infinity) ] ]
-          ~num_databanks:1
-      in
       let cfg =
-        Service.config ~platform ~rule:Service.Fcfs ~max_live:4 ~checkpoint:ckpt
-          ~checkpoint_every:1 ()
+        Service.config ~platform:(Platform.uniform ~speeds:[ 1.0; 1.0 ])
+          ~rule:Service.Fcfs ~max_live:4
+          ~faults:
+            [ { Fault.time = 1.5; machine = 1; up = false };
+              { Fault.time = infinity; machine = 1; up = true } ]
+          ~checkpoint:ckpt ~checkpoint_every:1 ()
       in
       let r = Service.run cfg (Source.of_list (items_of [ (0.0, 3.0); (0.5, 1.0) ])) in
       Alcotest.(check bool) "drained" true (r.outcome = Service.Drained);
       Alcotest.(check string) "final checkpoint"
-        "gripps-ckpt 1 434212c891b5d511 177 ed459757c478e31b\n\
+        "gripps-ckpt 1 b611b18caecb4171 177 ed459757c478e31b\n\
          now 3.5\n\
          counts 5 5 7 0\n\
          metrics 2 3.8333333333333335 3 5.5 3 3.5 1\n\
