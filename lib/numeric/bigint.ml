@@ -11,13 +11,15 @@ type t = { sign : int; mag : int array }
 
 let zero = { sign = 0; mag = [||] }
 
+(* Limbs 0 .. n-1 of [mag] without their most-significant zero limbs. *)
+let rec top_len mag n = if n > 0 && mag.(n - 1) = 0 then top_len mag (n - 1) else n
+
 (* Strip most-significant zero limbs; detect zero. *)
 let normalize sign mag =
-  let n = ref (Array.length mag) in
-  while !n > 0 && mag.(!n - 1) = 0 do decr n done;
-  if !n = 0 then zero
-  else if !n = Array.length mag then { sign; mag }
-  else { sign; mag = Array.sub mag 0 !n }
+  let n = top_len mag (Array.length mag) in
+  if n = 0 then zero
+  else if n = Array.length mag then { sign; mag }
+  else { sign; mag = Array.sub mag 0 n }
 
 let of_small_pos n =
   (* n >= 0, native *)
@@ -64,17 +66,15 @@ let minus_one = of_int (-1)
 let sign a = a.sign
 let is_zero a = a.sign = 0
 
+(* Compare limbs i, i-1, .. 0 of two magnitudes, most significant first. *)
+let rec compare_limbs a b i =
+  if i < 0 then 0
+  else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i)
+  else compare_limbs a b (i - 1)
+
 let compare_mag a b =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Stdlib.compare la lb
-  else begin
-    let rec go i =
-      if i < 0 then 0
-      else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i)
-      else go (i - 1)
-    in
-    go (la - 1)
-  end
+  if la <> lb then Stdlib.compare la lb else compare_limbs a b (la - 1)
 
 let compare a b =
   if a.sign <> b.sign then Stdlib.compare a.sign b.sign
@@ -83,16 +83,22 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let hash a =
-  Array.fold_left (fun acc limb -> (acc * 31 + limb) land max_int) a.sign a.mag
-
+(* Bits of a non-negative native int, by halving the range. *)
 let numbits_limb l =
-  let rec go l acc = if l = 0 then acc else go (l lsr 1) (acc + 1) in
-  go l 0
+  let n = ref 0 and l = ref l in
+  if !l lsr 32 <> 0 then begin n := 32; l := !l lsr 32 end;
+  if !l lsr 16 <> 0 then begin n := !n + 16; l := !l lsr 16 end;
+  if !l lsr 8 <> 0 then begin n := !n + 8; l := !l lsr 8 end;
+  if !l lsr 4 <> 0 then begin n := !n + 4; l := !l lsr 4 end;
+  if !l lsr 2 <> 0 then begin n := !n + 2; l := !l lsr 2 end;
+  if !l lsr 1 <> 0 then begin n := !n + 1; l := !l lsr 1 end;
+  !n + !l
 
-let numbits a =
-  let n = Array.length a.mag in
-  if n = 0 then 0 else (n - 1) * base_bits + numbits_limb a.mag.(n - 1)
+(* Bits of the value held in limbs 0 .. len-1, the top one non-zero. *)
+let numbits_len mag len =
+  if len = 0 then 0 else ((len - 1) * base_bits) + numbits_limb mag.(len - 1)
+
+let numbits a = numbits_len a.mag (Array.length a.mag)
 
 (* Magnitude addition: |a| + |b|. *)
 let add_mag a b =
@@ -170,91 +176,95 @@ let mul a b =
   if a.sign = 0 || b.sign = 0 then zero
   else normalize (a.sign * b.sign) (mul_mag a.mag b.mag)
 
-let mul_int a n = mul a (of_int n)
-let add_int a n = add a (of_int n)
+(* ---- shifts --------------------------------------------------------------- *)
 
-(* Shift a magnitude left by [s] bits, 0 <= s < base_bits. *)
-let shift_mag_left_small a s =
-  if s = 0 then Array.copy a
-  else begin
-    let la = Array.length a in
-    let r = Array.make (la + 1) 0 in
-    let carry = ref 0 in
-    for i = 0 to la - 1 do
+(* In-place shifts of limbs 0 .. n-1 by 0 <= s < base_bits bits.  The left
+   shift returns the bits pushed out of limb n-1; the right shift drops
+   the low bits and brings zeros in at the top. *)
+let shl_in_place a n s =
+  let carry = ref 0 in
+  if s > 0 then
+    for i = 0 to n - 1 do
       let t = (a.(i) lsl s) lor !carry in
-      r.(i) <- t land mask;
+      a.(i) <- t land mask;
       carry := t lsr base_bits
     done;
-    r.(la) <- !carry;
-    r
+  !carry
+
+let shr_in_place a n s =
+  if s > 0 then
+    for i = 0 to n - 1 do
+      let hi = if i + 1 < n then (a.(i + 1) lsl (base_bits - s)) land mask else 0 in
+      a.(i) <- (a.(i) lsr s) lor hi
+    done
+
+(* Limbs 0 .. len-1 of [dst] get floor (|src| / 2^n); [len] is the length
+   of that quotient, so every limb read lies inside [src]. *)
+let shr_into dst src n len =
+  let limbs = n / base_bits and bits = n mod base_bits in
+  if bits = 0 then Array.blit src limbs dst 0 len
+  else begin
+    let ls = Array.length src in
+    for i = 0 to len - 1 do
+      let j = i + limbs in
+      let hi = if j + 1 < ls then (src.(j + 1) lsl (base_bits - bits)) land mask else 0 in
+      dst.(i) <- (src.(j) lsr bits) lor hi
+    done
   end
 
-(* Shift a magnitude right by [s] bits, 0 <= s < base_bits. *)
-let shift_mag_right_small a s =
-  if s = 0 then Array.copy a
+(* [sign · floor (|mag| / 2^n)], in one allocation. *)
+let shift_right_mag sign mag n =
+  let nb = numbits_len mag (Array.length mag) - n in
+  if nb <= 0 then zero
   else begin
-    let la = Array.length a in
-    let r = Array.make la 0 in
-    for i = 0 to la - 1 do
-      let lo = a.(i) lsr s in
-      let hi = if i + 1 < la then (a.(i + 1) lsl (base_bits - s)) land mask else 0 in
-      r.(i) <- lo lor hi
-    done;
-    r
+    let len = (nb + base_bits - 1) / base_bits in
+    let r = Array.make len 0 in
+    shr_into r mag n len;
+    { sign; mag = r }
   end
 
 let shift_left a n =
   if n < 0 then invalid_arg "Bigint.shift_left: negative shift";
   if a.sign = 0 || n = 0 then a
   else begin
-    let limbs = n / base_bits and bits = n mod base_bits in
-    let shifted = shift_mag_left_small a.mag bits in
-    let mag = Array.append (Array.make limbs 0) shifted in
-    normalize a.sign mag
+    (* Sized for the result, so the bits pushed out of the top are zero. *)
+    let r = Array.make ((numbits a + n + base_bits - 1) / base_bits) 0 in
+    Array.blit a.mag 0 r (n / base_bits) (Array.length a.mag);
+    ignore (shl_in_place r (Array.length r) (n mod base_bits));
+    { sign = a.sign; mag = r }
   end
 
 let shift_right a n =
   if n < 0 then invalid_arg "Bigint.shift_right: negative shift";
-  if a.sign = 0 || n = 0 then a
-  else begin
-    let limbs = n / base_bits and bits = n mod base_bits in
-    let la = Array.length a.mag in
-    if limbs >= la then zero
-    else begin
-      let dropped = Array.sub a.mag limbs (la - limbs) in
-      normalize a.sign (shift_mag_right_small dropped bits)
-    end
-  end
+  if a.sign = 0 || n = 0 then a else shift_right_mag a.sign a.mag n
 
-(* Division of a magnitude by a single limb 0 < d < base.
-   Returns quotient magnitude and remainder limb. *)
+(* ---- division ------------------------------------------------------------- *)
+
+(* Division of a non-zero magnitude by a single limb 0 < d < base: the
+   quotient, sized so that its top limb is non-zero (empty when
+   |a| < d), and the remainder limb. *)
 let divmod_mag_limb a d =
   let la = Array.length a in
-  let q = Array.make la 0 in
-  let rem = ref 0 in
-  for i = la - 1 downto 0 do
+  let top = a.(la - 1) in
+  let lq = if top < d then la - 1 else la in
+  let q = Array.make lq 0 in
+  let rem = ref (if top < d then top else 0) in
+  for i = lq - 1 downto 0 do
     let cur = (!rem lsl base_bits) lor a.(i) in
-    q.(i) <- cur / d;
-    rem := cur mod d
+    let qi = cur / d in
+    q.(i) <- qi;
+    rem := cur - (qi * d)
   done;
   (q, !rem)
 
-(* Knuth algorithm D on magnitudes; |u| >= |v|, length v >= 2.
-   Returns (quotient, remainder) magnitudes. *)
-let divmod_mag_knuth u v =
-  let n = Array.length v in
-  let m = Array.length u in
-  (* Normalize so the top limb of v has its high bit set. *)
-  let s = base_bits - numbits_limb v.(n - 1) in
-  let vn = shift_mag_left_small v s in
-  let vn = Array.sub vn 0 n in
-  (* One guaranteed extra top limb on u. *)
-  let un0 = shift_mag_left_small u s in
-  let un =
-    if Array.length un0 = m + 1 then un0 else Array.append un0 [| 0 |]
-  in
-  let q = Array.make (m - n + 1) 0 in
+(* Knuth's algorithm D in place.  [un] holds the dividend in limbs 0 .. m,
+   shifted like the divisor [vn] of n >= 2 limbs so that vn's top limb has
+   its high bit set.  On return limbs 0 .. n-1 of [un] hold the (shifted)
+   remainder and limbs n .. m are zero; quotient digit j goes to [q.(j)]
+   unless [q] is empty. *)
+let knuth un vn n m q =
   let v1 = vn.(n - 1) and v2 = vn.(n - 2) in
+  let want_q = Array.length q > 0 in
   for j = m - n downto 0 do
     let top = (un.(j + n) lsl base_bits) lor un.(j + n - 1) in
     let qhat = ref (top / v1) and rhat = ref (top mod v1) in
@@ -281,7 +291,7 @@ let divmod_mag_knuth u v =
     if t < 0 then begin
       (* qhat was one too large: add v back. *)
       un.(j + n) <- t + base;
-      q.(j) <- !qhat - 1;
+      if want_q then q.(j) <- !qhat - 1;
       let c = ref 0 in
       for i = 0 to n - 1 do
         let s2 = un.(i + j) + vn.(i) + !c in
@@ -292,11 +302,29 @@ let divmod_mag_knuth u v =
     end
     else begin
       un.(j + n) <- t;
-      q.(j) <- !qhat
+      if want_q then q.(j) <- !qhat
     end
-  done;
-  let r = shift_mag_right_small (Array.sub un 0 n) s in
-  (q, r)
+  done
+
+(* Quotient and, when [want_rem], remainder magnitudes of |u| >= |v|,
+   length v >= 2; the remainder is [||] otherwise. *)
+let divmod_mag_knuth u v want_rem =
+  let n = Array.length v and m = Array.length u in
+  (* Normalize so the top limb of v has its high bit set. *)
+  let s = base_bits - numbits_limb v.(n - 1) in
+  let vn = Array.copy v in
+  ignore (shl_in_place vn n s);
+  (* One guaranteed extra top limb on u. *)
+  let un = Array.make (m + 1) 0 in
+  Array.blit u 0 un 0 m;
+  un.(m) <- shl_in_place un m s;
+  let q = Array.make (m - n + 1) 0 in
+  knuth un vn n m q;
+  if not want_rem then (q, [||])
+  else begin
+    shr_in_place un n s;
+    (q, Array.sub un 0 n)
+  end
 
 let divmod a b =
   if b.sign = 0 then raise Division_by_zero;
@@ -306,16 +334,36 @@ let divmod a b =
     if c < 0 then (zero, a)
     else if Array.length b.mag = 1 then begin
       let q, r = divmod_mag_limb a.mag b.mag.(0) in
-      (normalize (a.sign * b.sign) q,
+      ({ sign = a.sign * b.sign; mag = q },
        if r = 0 then zero else { sign = a.sign; mag = [| r |] })
     end
     else begin
-      let q, r = divmod_mag_knuth a.mag b.mag in
+      let q, r = divmod_mag_knuth a.mag b.mag true in
       (normalize (a.sign * b.sign) q, normalize a.sign r)
     end
   end
 
-let div a b = fst (divmod a b)
+(* Every limb below [n] is zero. *)
+let rec low_zero mag n = n = 0 || (mag.(n - 1) = 0 && low_zero mag (n - 1))
+
+(* The truncated quotient without the remainder.  The cases exact
+   divisions meet most serve first: a divisor of ±1 returns the dividend,
+   ±2^k shifts, one limb runs the single-limb loop. *)
+let div a b =
+  if b.sign = 0 then raise Division_by_zero;
+  let lb = Array.length b.mag in
+  let top = b.mag.(lb - 1) in
+  if a.sign = 0 then zero
+  else if lb = 1 && top = 1 then (if b.sign > 0 then a else neg a)
+  else if top land (top - 1) = 0 && low_zero b.mag (lb - 1) then
+    shift_right_mag (a.sign * b.sign) a.mag (numbits b - 1)
+  else begin
+    let la = Array.length a.mag in
+    if la < lb || (la = lb && compare_mag a.mag b.mag < 0) then zero
+    else if lb = 1 then { sign = a.sign * b.sign; mag = fst (divmod_mag_limb a.mag top) }
+    else normalize (a.sign * b.sign) (fst (divmod_mag_knuth a.mag b.mag false))
+  end
+
 let rem a b = snd (divmod a b)
 
 let ediv_rem a b =
@@ -324,47 +372,156 @@ let ediv_rem a b =
   else if b.sign > 0 then (pred q, add r b)
   else (succ q, sub r b)
 
+(* ---- gcd ------------------------------------------------------------------ *)
+
 (* Trailing zero bits of a non-zero magnitude. *)
 let trailing_zeros mag =
   let i = ref 0 in
   while mag.(!i) = 0 do incr i done;
-  let k = ref 0 in
-  while (mag.(!i) lsr !k) land 1 = 0 do incr k done;
-  (!i * base_bits) + !k
+  (!i * base_bits) + numbits_limb (mag.(!i) land (- mag.(!i))) - 1
 
 let pow2 k =
   let mag = Array.make ((k / base_bits) + 1) 0 in
   mag.(k / base_bits) <- 1 lsl (k mod base_bits);
   { sign = 1; mag }
 
-(* Value of a magnitude of at most two limbs. *)
-let two_limbs mag =
-  match Array.length mag with
-  | 0 -> 0
-  | 1 -> mag.(0)
-  | _ -> mag.(0) lor (mag.(1) lsl base_bits)
+(* floor (v / 2^s) as a native int, v the value in limbs 0 .. len-1 of
+   [mag]; the caller knows the result is below 2^62. *)
+let bits_from mag len s =
+  let i = s / base_bits in
+  if i >= len then 0
+  else begin
+    let v = ref 0 in
+    for k = len - 1 downto i + 1 do v := (!v lsl base_bits) lor mag.(k) done;
+    let r = s mod base_bits in
+    (!v lsl (base_bits - r)) lor (mag.(i) lsr r)
+  end
 
 let rec gcd_native a b = if b = 0 then a else gcd_native b (a mod b)
 
-(* Euclid on non-negative values, finished on native ints once both fit
-   in two limbs. *)
-let rec euclid a b =
-  if Array.length a.mag <= 2 && Array.length b.mag <= 2 then
-    of_small_pos (gcd_native (two_limbs a.mag) (two_limbs b.mag))
-  else if b.sign = 0 then a
-  else euclid b (rem a b)
+(* Cofactors stay below 2^29, so a round's linear combination sums two
+   products of under 2^59 with a carry: no native int overflows. *)
+let cofactor_bound = 1 lsl 29
+
+(* (u, v) <- (a·u + b·v, c·u + d·v) over limbs 0 .. n-1 in place.  Both
+   results are remainders of Euclid's sequence, non-negative and below u,
+   so the signed carries out of limb n-1 are zero. *)
+let lin_comb u v n a b c d =
+  let cu = ref 0 and cv = ref 0 in
+  for i = 0 to n - 1 do
+    let ui = u.(i) and vi = v.(i) in
+    let t = (a * ui) + (b * vi) + !cu and w = (c * ui) + (d * vi) + !cv in
+    u.(i) <- t land mask;
+    cu := t asr base_bits;
+    v.(i) <- w land mask;
+    cv := w asr base_bits
+  done
+
+(* u <- u mod v in place, u in limbs 0 .. lu-1 with limb lu spare and zero,
+   v in limbs 0 .. lv-1, lu >= lv >= 1.  v is shifted and shifted back. *)
+let rem_in_place u lu v lv =
+  if lv = 1 then begin
+    let d = v.(0) in
+    let r = ref 0 in
+    for i = lu - 1 downto 0 do
+      r := ((!r lsl base_bits) lor u.(i)) mod d;
+      u.(i) <- 0
+    done;
+    u.(0) <- !r
+  end
+  else begin
+    let s = base_bits - numbits_limb v.(lv - 1) in
+    ignore (shl_in_place v lv s);
+    u.(lu) <- shl_in_place u lu s;
+    knuth u v lv lu [||];
+    shr_in_place u lv s;
+    shr_in_place v lv s
+  end
+
+(* Lehmer's gcd of u >= v > 0, held in limbs 0 .. lu-1 and 0 .. lv-1 of
+   two scratch arrays of one length, at least lu + 1, zero above their
+   values.  Each round reads the leading 61 bits of u and the same bits
+   of v, runs Euclid on them in native ints while both ends of each
+   quotient's range agree (Knuth's Algorithm L) and the cofactors stay
+   under [cofactor_bound], then applies the cofactors to the full values
+   in one pass.  A round that can take no step (its first quotient is
+   uncertain or too large) makes one true division instead.  Native
+   Euclid finishes once u fits in 62 bits. *)
+let lehmer u lu v lv =
+  let u = ref u and lu = ref lu and v = ref v and lv = ref lv in
+  let nu = ref (numbits_len !u !lu) in
+  while !lv > 0 && !nu > 62 do
+    let s = !nu - 61 in
+    let x = ref (bits_from !u !lu s) and y = ref (bits_from !v !lv s) in
+    let a = ref 1 and b = ref 0 and c = ref 0 and d = ref 1 in
+    let go = ref true in
+    while !go do
+      let yc = !y + !c and yd = !y + !d in
+      if yc = 0 || yd = 0 then go := false
+      else begin
+        let q = (!x + !a) / yc in
+        if q <> (!x + !b) / yd || q >= cofactor_bound then go := false
+        else begin
+          let nc = !a - (q * !c) and nd = !b - (q * !d) in
+          if Stdlib.abs nc >= cofactor_bound || Stdlib.abs nd >= cofactor_bound then
+            go := false
+          else begin
+            a := !c; c := nc;
+            b := !d; d := nd;
+            let t = !x - (q * !y) in
+            x := !y; y := t
+          end
+        end
+      end
+    done;
+    if !b = 0 then begin
+      rem_in_place !u !lu !v !lv;
+      let r = !u in
+      u := !v; lu := !lv;
+      v := r; lv := top_len r !lv
+    end
+    else begin
+      lin_comb !u !v !lu !a !b !c !d;
+      lv := top_len !v !lu;
+      lu := top_len !u !lu
+    end;
+    nu := numbits_len !u !lu
+  done;
+  if !lv = 0 then { sign = 1; mag = Array.sub !u 0 !lu }
+  else of_small_pos (gcd_native (bits_from !u !lu 0) (bits_from !v !lv 0))
 
 (* gcd (2^i a', 2^j b') = 2^min(i,j) gcd (a', b') for odd a', b'.  Every
    denominator of a rational read from a double is a power of two, so an
-   odd part is often 1 and the answer is the power of two alone. *)
+   odd part is often 1 and the answer is the power of two alone.  Odd
+   parts of at most 62 bits meet in native Euclid; larger ones are copied
+   into scratch arrays for [lehmer]. *)
 let gcd a b =
   if a.sign = 0 then abs b
   else if b.sign = 0 then abs a
   else begin
     let za = trailing_zeros a.mag and zb = trailing_zeros b.mag in
     let z = Stdlib.min za zb in
-    if numbits a = za + 1 || numbits b = zb + 1 then pow2 z
-    else shift_left (euclid (shift_right (abs a) za) (shift_right (abs b) zb)) z
+    let na = numbits a - za and nb = numbits b - zb in
+    if na = 1 || nb = 1 then pow2 z
+    else begin
+      let la = Array.length a.mag and lb = Array.length b.mag in
+      let g =
+        if na <= 62 && nb <= 62 then
+          of_small_pos (gcd_native (bits_from a.mag la za) (bits_from b.mag lb zb))
+        else begin
+          let lu = (na + base_bits - 1) / base_bits
+          and lv = (nb + base_bits - 1) / base_bits in
+          let cap = Stdlib.max lu lv + 1 in
+          let u = Array.make cap 0 and v = Array.make cap 0 in
+          shr_into u a.mag za lu;
+          shr_into v b.mag zb lv;
+          if na > nb || (na = nb && compare_limbs u v (lu - 1) >= 0)
+          then lehmer u lu v lv
+          else lehmer v lv u lu
+        end
+      in
+      shift_left g z
+    end
   end
 
 let pow b e =
@@ -422,10 +579,7 @@ let to_string a =
     let buf = Buffer.create 32 in
     let rec chunks mag acc =
       let q, r = divmod_mag_limb mag chunk_base in
-      let len = ref (Array.length q) in
-      while !len > 0 && q.(!len - 1) = 0 do decr len done;
-      if !len = 0 then r :: acc
-      else chunks (Array.sub q 0 !len) (r :: acc)
+      if Array.length q = 0 then r :: acc else chunks q (r :: acc)
     in
     match chunks a.mag [] with
     | [] -> assert false
@@ -472,7 +626,3 @@ let pp fmt a = Format.pp_print_string fmt (to_string a)
 
 let min a b = if compare a b <= 0 then a else b
 let max a b = if compare a b >= 0 then a else b
-let lt a b = compare a b < 0
-let le a b = compare a b <= 0
-let gt a b = compare a b > 0
-let ge a b = compare a b >= 0

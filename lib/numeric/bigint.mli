@@ -48,7 +48,6 @@ val sign : t -> int
 val is_zero : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val numbits : t -> int
 (** Number of bits of the magnitude; [numbits zero = 0]. *)
@@ -69,13 +68,30 @@ val divmod : t -> t -> t * t
     @raise Division_by_zero if [b] is zero. *)
 
 val div : t -> t -> t
+(** The quotient of {!divmod} without its remainder.  The divisors that
+    exact divisions (a value by its gcd, a common multiple by a
+    denominator) meet most are served first and allocate only the
+    result: [div a (±1)] returns [a] or its negation, [div a (±2^k)] is
+    a shift of the magnitude, a one-limb divisor runs one pass of
+    single-limb division, and any other divisor runs Knuth's algorithm D.
+    @raise Division_by_zero if [b] is zero. *)
+
 val rem : t -> t -> t
 
 val ediv_rem : t -> t -> t * t
 (** Euclidean division: remainder in [0, |b|). *)
 
 val gcd : t -> t -> t
-(** Non-negative greatest common divisor; [gcd zero zero = zero]. *)
+(** Non-negative greatest common divisor; [gcd zero zero = zero].
+    The common power of two comes out first: [gcd (2^i a') (2^j b') =
+    2^min(i,j) gcd a' b'] for odd [a'], [b'], which is the power of two
+    alone when an odd part is 1.  Odd parts of at most 62 bits meet in
+    native Euclid.  Larger ones run Lehmer's algorithm: each round takes
+    the quotients of the leading 61 bits in native ints while they are
+    certain and their cofactors stay below 2^29, applies the cofactors
+    to both values in one pass over the limbs, and makes one true
+    division only when not even the first quotient qualifies.  Native
+    Euclid finishes once both values fit in 62 bits. *)
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
@@ -86,14 +102,7 @@ val shift_right : t -> int -> t
 val pow : t -> int -> t
 (** [pow b e] for [e >= 0]. @raise Invalid_argument on negative exponent. *)
 
-val mul_int : t -> int -> t
-val add_int : t -> int -> t
-
 (** {1 Comparisons} *)
 
 val min : t -> t -> t
 val max : t -> t -> t
-val lt : t -> t -> bool
-val le : t -> t -> bool
-val gt : t -> t -> bool
-val ge : t -> t -> bool

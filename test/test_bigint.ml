@@ -173,24 +173,74 @@ let prop_gcd_divides =
       && B.is_zero (B.rem a g)
       && B.is_zero (B.rem bb g))
 
-(* gcd against a reference Euclid over [B.rem], on operands x*2^i and
-   y*2^j that share long runs of factors of two, across limb boundaries:
-   decimal strings almost never do, so [prop_gcd_divides] cannot see how
-   the common power of two is put back. *)
-let rec ref_gcd a c = if B.is_zero c then B.abs a else ref_gcd c (B.rem a c)
+(* The gcd oracle: a binary (Stein) gcd built only on [sub], [shift_right],
+   [compare] and [numbits].  It shares no code with [B.gcd]'s Lehmer
+   rounds or with [B.div], so a defect in either cannot hide by being
+   repeated in the reference. *)
+let ref_gcd a c =
+  let is_zero x = B.numbits x = 0 in
+  let abs x = if B.compare x B.zero < 0 then B.sub B.zero x else x in
+  let half x = B.shift_right x 1 in
+  let even x = (not (is_zero x)) && is_zero (B.sub (B.sub x (half x)) (half x)) in
+  let rec odd x = if even x then odd (half x) else x in
+  let rec common_twos a c k =
+    if even a && even c then common_twos (half a) (half c) (k + 1) else (a, c, k)
+  in
+  let rec double x k = if k = 0 then x else double (B.sub x (B.sub B.zero x)) (k - 1) in
+  (* a odd, c > 0: gcd (a, c) = gcd (a, odd c), then subtract the smaller *)
+  let rec stein a c =
+    let c = odd c in
+    let a, c = if B.compare a c > 0 then (c, a) else (a, c) in
+    let c = B.sub c a in
+    if is_zero c then a else stein a c
+  in
+  let a = abs a and c = abs c in
+  if is_zero a then c
+  else if is_zero c then a
+  else begin
+    let a, c, k = common_twos a c 0 in
+    double (stein (odd a) c) k
+  end
 
+let limb = QCheck2.Gen.int_range 0 ((1 lsl 30) - 1)
+
+(* A value of [lo] to [hi] limbs with a non-zero top limb. *)
+let limbs_gen lo hi =
+  QCheck2.Gen.(
+    let* top = int_range 1 ((1 lsl 30) - 1) in
+    let* ls = list_size (int_range (lo - 1) (hi - 1)) limb in
+    return (List.fold_left (fun acc l -> B.add (B.shift_left acc 30) (b l)) (b top) ls))
+
+(* An odd value of [lo] to [hi] limbs. *)
+let odd_gen lo hi =
+  QCheck2.Gen.map (fun x -> if B.is_zero (B.sub x (B.shift_left (B.shift_right x 1) 1))
+                    then B.add x B.one else x) (limbs_gen lo hi)
+
+let signed g = QCheck2.Gen.(map2 (fun neg x -> if neg then B.neg x else x) bool g)
+
+(* Check [g = gcd x y]: both argument orders, the oracle, and cofactors
+   that rebuild the operands and are coprime. *)
+let gcd_agrees x y =
+  let g = B.gcd x y in
+  B.equal g (ref_gcd x y)
+  && B.equal g (B.gcd y x)
+  && (B.is_zero g
+      || (let cx = B.div x g and cy = B.div y g in
+          B.equal (B.mul cx g) x && B.equal (B.mul cy g) y && B.equal (ref_gcd cx cy) B.one))
+
+let print_pair (x, y) = B.to_string x ^ ", " ^ B.to_string y
+
+(* x*2^i and y*2^j sharing long runs of factors of two, across limb
+   boundaries: decimal strings almost never do, so [prop_gcd_divides]
+   cannot see how the common power of two is put back. *)
 let shifted_gen =
   QCheck2.Gen.(
-    let limb = int_range 0 ((1 lsl 30) - 1) in
     (* zero, small values (odd part often 1), or one to seven limbs *)
     let* x =
       frequency
         [ (1, return B.zero);
           (2, map b (int_range 1 16));
-          (5,
-           let* top = int_range 1 ((1 lsl 30) - 1) in
-           let* ls = list_size (int_range 0 6) limb in
-           return (List.fold_left (fun acc l -> B.add (B.shift_left acc 30) (b l)) (b top) ls)) ]
+          (5, limbs_gen 1 7) ]
     in
     let* i = int_range 0 200 in
     let* neg = bool in
@@ -198,14 +248,80 @@ let shifted_gen =
     return (if neg then B.neg x else x))
 
 let prop_gcd_matches_reference =
-  QCheck2.Test.make ~name:"gcd equals a reference Euclid" ~count:500
-    ~print:(fun (x, y) -> B.to_string x ^ ", " ^ B.to_string y)
+  QCheck2.Test.make ~name:"gcd equals a reference binary gcd" ~count:500 ~print:print_pair
     QCheck2.Gen.(pair shifted_gen shifted_gen)
-    (fun (x, y) ->
-      let g = B.gcd x y in
-      B.equal g (ref_gcd x y)
-      && B.equal g (B.gcd y x)
-      && (B.is_zero g || B.equal (ref_gcd (B.div x g) (B.div y g)) B.one))
+    (fun (x, y) -> gcd_agrees x y)
+
+(* Operands of up to 16 limbs that share a planted odd factor of 1-4
+   limbs and up to 200 factors of two.  Random operands are almost
+   always coprime or share a small factor; here the gcd is often wider
+   than 62 bits, so Lehmer's rounds must carry it to the end. *)
+let planted_gen =
+  QCheck2.Gen.(
+    let* g = odd_gen 1 4 in
+    let cofactor =
+      frequency [ (1, return B.zero); (1, map b (int_range 1 1000)); (6, limbs_gen 1 12) ]
+    in
+    let* x = cofactor and* y = cofactor in
+    let* i = int_range 0 200 and* j = int_range 0 200 in
+    let* nx = bool and* ny = bool in
+    let op c k neg = let v = B.shift_left (B.mul c g) k in if neg then B.neg v else v in
+    return (op x i nx, op y j ny))
+
+let prop_gcd_planted =
+  QCheck2.Test.make ~name:"gcd finds a planted common factor" ~count:150 ~print:print_pair
+    planted_gen
+    (fun (x, y) -> gcd_agrees x y)
+
+(* (q*y + r, y) with q >= 2^61: the leading 61 bits of the first operand
+   see the second as zero, so Lehmer's round can take no quotient and
+   must fall back to one true division.  y and r share a planted factor,
+   and r has fewer bits than y, so r < y without a division. *)
+let fallback_gen =
+  QCheck2.Gen.(
+    let* g = odd_gen 1 2 in
+    let* y = limbs_gen 1 5 in
+    let* r = frequency [ (1, return B.zero); (4, limbs_gen 1 1); (4, limbs_gen 1 4) ] in
+    let r = if B.numbits r >= B.numbits y then B.shift_right r (B.numbits r - B.numbits y + 1) else r in
+    let* q_extra = limbs_gen 1 3 in
+    let* k = int_range 61 120 in
+    let q = B.add (B.shift_left B.one k) q_extra in
+    let y = B.mul y g and r = B.mul r g in
+    let* neg = bool in
+    let x = B.add (B.mul q y) r in
+    return ((if neg then B.neg x else x), y))
+
+let prop_gcd_fallback =
+  QCheck2.Test.make ~name:"gcd through Lehmer's division fallback" ~count:150 ~print:print_pair
+    fallback_gen
+    (fun (x, y) -> gcd_agrees x y)
+
+(* Divisors of every class [B.div] serves on its own: ±1, ±2^k, one limb,
+   several limbs, and several limbs whose top limb alone is a power of
+   two. *)
+let divisor_gen =
+  QCheck2.Gen.(
+    signed
+      (frequency
+         [ (1, return B.one);
+           (2, map (B.shift_left B.one) (int_range 1 300));
+           (2, map b (int_range 2 ((1 lsl 30) - 1)));
+           (3, limbs_gen 2 6);
+           (1, map2 (fun k l -> B.add (B.shift_left B.one k) (b l)) (int_range 31 200)
+                 (int_range 1 1000)) ]))
+
+let dividend_gen =
+  QCheck2.Gen.(signed (frequency [ (1, return B.zero); (1, map b (int_range 1 1000)); (6, limbs_gen 1 10) ]))
+
+let prop_div_exact =
+  QCheck2.Test.make ~name:"exact division by ±1, ±2^k, one and several limbs" ~count:400
+    ~print:print_pair QCheck2.Gen.(pair dividend_gen divisor_gen)
+    (fun (x, g) -> B.equal (B.div (B.mul x g) g) x)
+
+let prop_div_is_divmod_quotient =
+  QCheck2.Test.make ~name:"div equals divmod's quotient" ~count:400 ~print:print_pair
+    QCheck2.Gen.(pair dividend_gen divisor_gen)
+    (fun (x, y) -> B.equal (B.div x y) (fst (B.divmod x y)))
 
 let prop_mul_commutative_assoc =
   QCheck2.Test.make ~name:"mul commutative and associative (large)" ~count:200
@@ -222,6 +338,13 @@ let prop_shift_is_pow2 =
       let a = B.of_string sa in
       B.equal (B.shift_left a n) (B.mul a (B.pow B.two n)))
 
+let prop_shift_right_truncates =
+  QCheck2.Test.make ~name:"shift_right = truncated division by 2^n" ~count:200
+    QCheck2.Gen.(pair digits_gen (int_range 0 240))
+    (fun (sa, n) ->
+      let a = B.of_string sa in
+      B.equal (B.shift_right a n) (fst (B.divmod a (B.pow B.two n))))
+
 let prop_compare_total_order =
   QCheck2.Test.make ~name:"compare consistent with sub sign" ~count:300
     QCheck2.Gen.(pair digits_gen digits_gen)
@@ -235,7 +358,9 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_ring_matches_native; prop_divmod_matches_native; prop_string_roundtrip;
       prop_divmod_reconstruct; prop_gcd_divides; prop_mul_commutative_assoc;
-      prop_shift_is_pow2; prop_compare_total_order; prop_gcd_matches_reference ]
+      prop_shift_is_pow2; prop_shift_right_truncates; prop_compare_total_order;
+      prop_gcd_matches_reference;
+      prop_gcd_planted; prop_gcd_fallback; prop_div_exact; prop_div_is_divmod_quotient ]
 
 let suite =
   ( "bigint",
